@@ -75,13 +75,13 @@ func BenchmarkEngineReplications(b *testing.B) {
 	}
 }
 
-// serviceGittinsBody builds a /v1/gittins request body for a deterministic
-// n-state project; delta perturbs the first reward so each distinct value
-// yields a distinct spec hash (a guaranteed cache miss).
+// serviceGittinsBody builds a /v1/index bandit request body for a
+// deterministic n-state project; delta perturbs the first reward so each
+// distinct value yields a distinct spec hash (a guaranteed cache miss).
 func serviceGittinsBody(n int, delta float64) string {
 	s := rng.New(42)
 	var sb strings.Builder
-	sb.WriteString(`{"beta":0.9,"transitions":[`)
+	sb.WriteString(`{"kind":"bandit","bandit":{"beta":0.9,"transitions":[`)
 	for i := 0; i < n; i++ {
 		row := make([]float64, n)
 		sum := 0.0
@@ -112,22 +112,23 @@ func serviceGittinsBody(n int, delta float64) string {
 		}
 		fmt.Fprintf(&sb, "%.12g", r)
 	}
-	sb.WriteString(`]}`)
+	sb.WriteString(`]}}`)
 	return sb.String()
 }
 
-// BenchmarkServiceIndexCache measures the policy service's Gittins endpoint
-// on a 30-state project along its two paths: "cold" defeats the cache with
-// a fresh spec every iteration (full index computation), "warm" repeats one
-// spec (sharded-cache lookup serving memoized bytes). The acceptance bar
-// for the serving layer is warm ≥ 10× faster than cold; `make bench-service`
-// renders the measurements as BENCH_service.json.
+// BenchmarkServiceIndexCache measures the policy service's /v1/index
+// endpoint on a 30-state Gittins project along its two paths: "cold"
+// defeats the cache with a fresh spec every iteration (full index
+// computation), "warm" repeats one spec (sharded-cache lookup serving
+// memoized bytes). The acceptance bar for the serving layer is warm ≥ 10×
+// faster than cold; `make bench` renders the measurements as
+// BENCH_service.json.
 func BenchmarkServiceIndexCache(b *testing.B) {
 	run := func(b *testing.B, body func(i int) string) {
 		h := service.New(service.Config{}).Handler()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			req := httptest.NewRequest(http.MethodPost, "/v1/gittins", strings.NewReader(body(i)))
+			req := httptest.NewRequest(http.MethodPost, "/v1/index", strings.NewReader(body(i)))
 			w := httptest.NewRecorder()
 			h.ServeHTTP(w, req)
 			if w.Code != http.StatusOK {
@@ -149,9 +150,9 @@ func BenchmarkServiceIndexCache(b *testing.B) {
 // every request computes) and warm (one cached body served repeatedly).
 // The bodies are the canonical per-kind requests from scenariotest — the
 // same ones the conformance suites pin — so a newly registered kind joins
-// the benchmark automatically. `make bench-simulate` renders the
-// measurements as BENCH_simulate.json, tracking the simulate path like the
-// engine and cache benches.
+// the benchmark automatically. `make bench` renders the measurements as
+// BENCH_simulate.json, tracking the simulate path like the engine and cache
+// benches.
 func BenchmarkSimulate(b *testing.B) {
 	run := func(b *testing.B, h http.Handler, body func(i int) string) {
 		b.Helper()
@@ -193,7 +194,7 @@ func BenchmarkSimulate(b *testing.B) {
 // specs are small (the realistic high-traffic shape: many cheap index
 // queries) and pre-warmed, so both variants measure per-call transport and
 // cache-lookup overhead — exactly the cost batching exists to amortize.
-// `make bench-batch` renders the measurements as BENCH_batch.json; the
+// `make bench` renders the measurements as BENCH_batch.json; the
 // acceptance bar is batch beating singles per op.
 func BenchmarkBatchVsSingle(b *testing.B) {
 	const n = 16
@@ -205,7 +206,7 @@ func BenchmarkBatchVsSingle(b *testing.B) {
 	bodies := make([][]byte, n)
 	items := make([]api.BatchItem, n)
 	for i := range bodies {
-		body := fmt.Sprintf(`{"kind":"bandit","bandit":%s}`, serviceGittinsBody(3, float64(i+1)))
+		body := serviceGittinsBody(3, float64(i+1))
 		bodies[i] = []byte(body)
 		items[i] = api.BatchItem{Op: api.OpIndex, Body: json.RawMessage(body)}
 		// Pre-warm: both variants below measure transport, not solving.
@@ -285,7 +286,7 @@ func adaptiveMDPBody(seed uint64, tail string) string {
 // measures the variance-reduction half: the implied replications to
 // resolve the cµ−FCFS cost-rate difference to ±1% CI95 (reps_to_1pct)
 // with common random numbers versus independently seeded policies.
-// `make bench-precision` renders the output as BENCH_precision.json.
+// `make bench` renders the output as BENCH_precision.json.
 func BenchmarkAdaptivePrecision(b *testing.B) {
 	const budget = 4096
 	post := func(b *testing.B, h http.Handler, body string) []byte {
@@ -445,7 +446,7 @@ func benchRing(b *testing.B, n int) []*service.Server {
 // routing, the in-process hop, and the body copy. The sweep pair runs a
 // fresh 4-point sweep per op on one node versus a 3-node ring where each
 // cell forwards to its ring owner — the per-cell fan-out overhead.
-// `make bench-cluster` renders the output as BENCH_cluster.json, and
+// `make bench` renders the output as BENCH_cluster.json, and
 // `make bench-check` gates it against the checked-in baseline.
 func BenchmarkCluster(b *testing.B) {
 	post := func(b *testing.B, h http.Handler, path, body string) *httptest.ResponseRecorder {

@@ -23,13 +23,14 @@
 //	stochsched sweep -f request.json
 //	stochsched sweep -f request.json -ndjson   # raw result rows
 //
-// The simulate and scenarios subcommands resolve the same scenario
-// registry the daemon serves — simulate drives one /v1/simulate body
-// through pkg/client against an in-process service handler
-// (byte-identical to the HTTP response), scenarios lists the registered
-// kinds with their sweep policy paths and index families:
+// The simulate, index and scenarios subcommands resolve the same scenario
+// registry the daemon serves — simulate and index drive one /v1/simulate
+// or /v1/index body through pkg/client against an in-process service
+// handler (byte-identical to the HTTP response), scenarios lists the
+// registered kinds with their sweep policy paths and index families:
 //
 //	stochsched simulate -f request.json
+//	stochsched index -f request.json
 //	stochsched scenarios
 //
 // The loadgen subcommand soaks a daemon (or an in-process service) through
@@ -68,6 +69,8 @@ func main() {
 			os.Exit(runSweep(os.Args[2:]))
 		case "simulate":
 			os.Exit(runSimulate(os.Args[2:]))
+		case "index":
+			os.Exit(runIndex(os.Args[2:]))
 		case "scenarios":
 			os.Exit(runScenarios(os.Args[2:]))
 		case "loadgen":

@@ -63,6 +63,38 @@ Registered kinds: %s (see "stochsched scenarios").
 	return 0
 }
 
+// runIndex implements the `stochsched index` subcommand: it reads one
+// /v1/index request body and runs it through the same in-process client
+// and handler as simulate, so the printed body is byte-identical to the
+// daemon's POST /v1/index response.
+func runIndex(args []string) int {
+	fs := flag.NewFlagSet("index", flag.ExitOnError)
+	file := fs.String("f", "-", "index request file (JSON; \"-\" = stdin)")
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), `usage: stochsched index [-f request.json]
+
+Computes one index request in-process through the scenario registry — the
+same JSON POST /v1/index accepts ({"kind":K,K:payload}), the same response
+body. Kinds with an analytic index: %s.
+`, strings.Join(scenario.IndexKinds(), ", "))
+		fs.PrintDefaults()
+	}
+	fs.Parse(args)
+
+	raw, err := readInput(*file)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	body, err := IndexLocal(raw)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	os.Stdout.Write(body)
+	return 0
+}
+
 // applyPrecisionFlags rewrites a raw simulate body per the precision
 // flags: -target-ci replaces the fixed replications field with a precision
 // block (the server enforces the mutual exclusion, so the flag must drop
@@ -157,6 +189,11 @@ func localHandler(parallel int) http.Handler {
 // localClient mounts pkg/client on localHandler.
 func localClient(parallel int) *client.Client {
 	return client.NewInProcess(localHandler(parallel))
+}
+
+// IndexLocal computes one index body in-process through the client SDK.
+func IndexLocal(raw []byte) ([]byte, error) {
+	return localClient(0).IndexRaw(context.Background(), raw)
 }
 
 // SimulateLocal parses and runs one simulate body in-process through the

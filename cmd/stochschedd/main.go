@@ -1,15 +1,13 @@
 // Command stochschedd serves the repository's scheduling-policy solvers
 // over HTTP/JSON: Gittins indices, Whittle indices, cµ/Klimov/WSEPT
 // priority orders, and engine-backed Monte Carlo evaluation of every
-// registered simulate scenario (mg1, mmm, bandit, restless, batch), behind
-// a sharded memoization cache and a bounded admission queue.
+// registered simulate scenario (mg1, mmm, bandit, restless, batch,
+// jackson, polling, mdp, flowshop), behind a sharded memoization cache and
+// a bounded admission queue.
 //
 //	stochschedd -addr :8080 -parallel 8
 //
 //	POST   /v1/index              kind + spec            → analytic indices (kind-dispatched)
-//	POST   /v1/gittins            bandit spec            → alias of /v1/index kind bandit
-//	POST   /v1/whittle            restless spec          → alias of /v1/index kind restless
-//	POST   /v1/priority           mg1 or batch spec      → alias of /v1/index (priority kinds)
 //	POST   /v1/simulate           spec + seed + reps     → replication estimates (any registered kind)
 //	POST   /v1/batch              [{op, body}, …]        → up to -batch-max-items calls, one round trip
 //	POST   /v1/sweep              base + grid + policies → async job id (202)

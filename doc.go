@@ -55,8 +55,7 @@
 //     file plus its registration line.
 //   - Serving (internal/service, cmd/stochschedd): an HTTP/JSON policy
 //     server exposing the solvers — POST /v1/index (kind-dispatched
-//     analytic indices, with /v1/gittins, /v1/whittle, /v1/priority as
-//     byte-identical legacy aliases), /v1/simulate, and /v1/batch (up to
+//     analytic indices), /v1/simulate, and /v1/batch (up to
 //     N heterogeneous calls multiplexed into one round trip, executed
 //     concurrently on the shared pool with per-item status in item
 //     order) — behind a sharded memoization cache keyed by spec hash

@@ -11,7 +11,7 @@
 // Simulation estimators (EstimateSingleMachine, EstimateParallel, the flow
 // shop and in-tree makespans) replicate on internal/engine, so their
 // estimates are byte-identical at any parallelism for a given seed. The
-// policy service exposes the WSEPT/SEPT/LEPT orders as POST /v1/priority
+// policy service exposes the WSEPT/SEPT/LEPT orders as POST /v1/index
 // with kind "batch"; specs enter through internal/spec.Batch (see
 // docs/api.md).
 package batch

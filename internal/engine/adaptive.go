@@ -51,8 +51,9 @@ func (pr Precision) Validate() error {
 	if pr.Confidence != 0 && !(pr.Confidence > 0 && pr.Confidence < 1) {
 		return fmt.Errorf("engine: precision confidence %v outside (0, 1)", pr.Confidence)
 	}
-	if pr.MaxReplications < 1 {
-		return fmt.Errorf("engine: precision max_replications %d must be at least 1", pr.MaxReplications)
+	// One replication has no confidence interval to stop on.
+	if pr.MaxReplications < 2 {
+		return fmt.Errorf("engine: precision max_replications %d must be at least 2", pr.MaxReplications)
 	}
 	if pr.MinReplications < 0 {
 		return fmt.Errorf("engine: precision min_replications %d must be nonnegative", pr.MinReplications)

@@ -156,6 +156,7 @@ func TestPrecisionValidate(t *testing.T) {
 		{TargetRelCI: -1, MaxReplications: 10},
 		{TargetRelCI: math.Inf(1), MaxReplications: 10},
 		{TargetRelCI: 0.01, MaxReplications: 0},
+		{TargetRelCI: 0.01, MaxReplications: 1}, // no CI from one sample
 		{TargetRelCI: 0.01, MaxReplications: 10, Confidence: 1},
 		{TargetRelCI: 0.01, MaxReplications: 10, Confidence: -0.5},
 		{TargetRelCI: 0.01, MaxReplications: 10, MinReplications: -1},

@@ -16,9 +16,9 @@
 // polling experiment helpers) run on internal/engine with per-replication
 // RNG substreams, so estimates are byte-identical at any parallelism for a
 // given seed. The policy service exposes the cµ/Klimov orders as
-// POST /v1/priority and the simulators as POST /v1/simulate — which the
-// sweep subsystem (internal/sweep) fans out over whole parameter grids;
-// specs enter through internal/spec.MG1 (see docs/api.md).
+// POST /v1/index (kind "mg1") and the simulators as POST /v1/simulate —
+// which the sweep subsystem (internal/sweep) fans out over whole parameter
+// grids; specs enter through internal/spec.MG1 (see docs/api.md).
 package queueing
 
 import (

@@ -28,7 +28,7 @@ type (
 
 // banditScenario evaluates an index policy on a multi-project discounted
 // bandit; its Indexer capability computes Gittins indices of a single
-// project (the legacy /v1/gittins endpoint).
+// project.
 type banditScenario struct{}
 
 func (banditScenario) Kind() string { return "bandit" }
@@ -161,8 +161,8 @@ func (banditScenario) ParseIndexPayload(raw json.RawMessage) (any, error) {
 	return &b, nil
 }
 
-// IndexHash hashes the bare project spec — exactly the pre-v2 /v1/gittins
-// body, so legacy goldens and cache keys are preserved.
+// IndexHash hashes the bare project spec — exactly the body of the retired
+// /v1/gittins route, so goldens and cache keys are preserved.
 func (banditScenario) IndexHash(payload any) string { return api.Hash(payload.(*api.Bandit)) }
 
 func (banditScenario) ComputeIndex(payload any, hash string) (any, error) {

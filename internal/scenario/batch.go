@@ -33,8 +33,7 @@ type (
 
 // batchScenario estimates list-policy objectives on identical parallel
 // machines via internal/batch; its Indexer capability computes the
-// WSEPT/SEPT/LEPT orders with Smith ratios (the batch half of the legacy
-// /v1/priority endpoint).
+// WSEPT/SEPT/LEPT orders with Smith ratios.
 type batchScenario struct{}
 
 func (batchScenario) Kind() string { return "batch" }
@@ -197,8 +196,8 @@ func (batchScenario) ParseIndexPayload(raw json.RawMessage) (any, error) {
 }
 
 // IndexHash hashes the {"kind":"batch","batch":…} priority envelope —
-// exactly the pre-v2 /v1/priority body, so legacy goldens and cache keys
-// are preserved.
+// exactly the body of the retired /v1/priority route, so goldens and cache
+// keys are preserved.
 func (batchScenario) IndexHash(payload any) string {
 	return api.Hash(&api.PriorityRequest{Kind: "batch", Batch: payload.(*api.Batch)})
 }

@@ -49,6 +49,17 @@ func TestConformance(t *testing.T) {
 				t.Errorf("ParseRequest accepted a request exceeding MaxSimWork %g", tight.MaxSimWork)
 			}
 
+			// A fixed budget of one replication has no confidence interval
+			// (a 1-sample CI95 is +Inf, which JSON cannot encode): it must
+			// reject at parse time like every other out-of-range budget.
+			one, err := api.SetNumber(body, "replications", 1)
+			if err != nil {
+				t.Fatalf("SetNumber(replications): %v", err)
+			}
+			if _, err := ParseRequest(one, Limits{}); err == nil {
+				t.Error("ParseRequest accepted replications 1")
+			}
+
 			// Spec-hash stability: re-parsing the same bytes must give the
 			// same canonical hash.
 			req2, err := ParseRequest(body, Limits{})
@@ -113,14 +124,14 @@ func TestConformance(t *testing.T) {
 			}
 
 			idx, isIndexer := req.Scenario.(Indexer)
-			payload := scenariotest.IndexPayload(kind)
+			indexBody := scenariotest.IndexBody(kind)
 			if !isIndexer {
-				if payload != "" {
+				if indexBody != "" {
 					t.Fatalf("scenariotest has an index payload for %q but the kind has no Indexer", kind)
 				}
 				return
 			}
-			if payload == "" {
+			if indexBody == "" {
 				t.Fatalf("kind %q has an Indexer but no canonical index payload in scenariotest", kind)
 			}
 			if idx.IndexFamily() == "" {
@@ -129,13 +140,13 @@ func TestConformance(t *testing.T) {
 
 			// Indexer hash/compute round-trip: stable hash across re-parse,
 			// deterministic recomputation, spec_hash echoed in the response.
-			ir, err := ParseIndexBody(kind, []byte(payload))
+			ir, err := ParseIndexRequest([]byte(indexBody))
 			if err != nil {
-				t.Fatalf("ParseIndexBody: %v", err)
+				t.Fatalf("ParseIndexRequest: %v", err)
 			}
-			ir2, err := ParseIndexBody(kind, []byte(payload))
+			ir2, err := ParseIndexRequest([]byte(indexBody))
 			if err != nil {
-				t.Fatalf("re-ParseIndexBody: %v", err)
+				t.Fatalf("re-ParseIndexRequest: %v", err)
 			}
 			if ir.Hash() == "" || ir.Hash() != ir2.Hash() {
 				t.Errorf("index hash unstable across re-parse: %q vs %q", ir.Hash(), ir2.Hash())

@@ -101,7 +101,7 @@ func (s mdpScenario) Simulate(ctx context.Context, pool *engine.Pool, payload an
 	case "optimal":
 		_, _, pol, err := m.Solve(mdpSolveTol, mdpSolveMaxIter)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, BadSpec{err}
 		}
 		actions, choose = pol, markov.StationaryChooser(pol)
 	case "myopic":
@@ -175,9 +175,12 @@ func (mdpScenario) ComputeIndex(payload any, hash string) (any, error) {
 	if err != nil {
 		return nil, BadSpec{err}
 	}
+	// The model is already validated, so a solver failure is the input's
+	// doing: relative value iteration does not converge on a multichain
+	// MDP (one whose optimal gain depends on the start state).
 	gain, bias, pol, err := m.Solve(mdpSolveTol, mdpSolveMaxIter)
 	if err != nil {
-		return nil, err
+		return nil, BadSpec{err}
 	}
 	lpGain, err := m.AverageRewardLP()
 	if err != nil {

@@ -29,8 +29,7 @@ type (
 
 // mg1Scenario simulates the multiclass M/G/1 queue (and, with feedback,
 // Klimov's network) under a discipline; its Indexer capability computes
-// the cµ (or Klimov) priority order with exact Cobham delays (the mg1 half
-// of the legacy /v1/priority endpoint).
+// the cµ (or Klimov) priority order with exact Cobham delays.
 type mg1Scenario struct{}
 
 func (mg1Scenario) Kind() string { return "mg1" }
@@ -202,8 +201,8 @@ func (mg1Scenario) ParseIndexPayload(raw json.RawMessage) (any, error) {
 }
 
 // IndexHash hashes the {"kind":"mg1","mg1":…} priority envelope — exactly
-// the pre-v2 /v1/priority body, so legacy goldens and cache keys are
-// preserved.
+// the body of the retired /v1/priority route, so goldens and cache keys
+// are preserved.
 func (mg1Scenario) IndexHash(payload any) string {
 	return api.Hash(&api.PriorityRequest{Kind: "mg1", MG1: payload.(*api.MG1)})
 }

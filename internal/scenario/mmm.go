@@ -149,8 +149,7 @@ func (mmmScenario) ParseIndexPayload(raw json.RawMessage) (any, error) {
 	return &m, nil
 }
 
-// IndexHash hashes the {"kind":"mmm","mmm":…} index envelope. The kind is
-// new, so — unlike mg1 — there is no legacy single-kind body to mirror.
+// IndexHash hashes the {"kind":"mmm","mmm":…} index envelope.
 func (mmmScenario) IndexHash(payload any) string {
 	return api.Hash(&api.IndexRequest{Kind: "mmm", MMm: payload.(*api.MMm)})
 }

@@ -11,12 +11,12 @@ import (
 	"stochsched/pkg/api"
 )
 
-const mmmIndexBody = `{"servers": 3, "classes": [
+const mmmIndexBody = `{"kind": "mmm", "mmm": {"servers": 3, "classes": [
   {"rate": 1.2, "service": {"kind": "exp", "rate": 1.5}, "hold_cost": 3},
-  {"rate": 1.0, "service_mean": 1, "hold_cost": 1}]}`
+  {"rate": 1.0, "service_mean": 1, "hold_cost": 1}]}}`
 
 func TestMMmIndexCompute(t *testing.T) {
-	req, err := ParseIndexBody("mmm", []byte(mmmIndexBody))
+	req, err := ParseIndexRequest([]byte(mmmIndexBody))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,23 +51,16 @@ func TestMMmIndexCompute(t *testing.T) {
 	if *resp.FastSingleServerCost > *resp.CostRate {
 		t.Errorf("fast bound %v above analytic cµ cost %v", *resp.FastSingleServerCost, *resp.CostRate)
 	}
-	// The envelope form of the same payload must hash (and cache) the same.
-	env, err := ParseIndexRequest([]byte(`{"kind":"mmm","mmm":` + mmmIndexBody + `}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if env.Hash() != req.Hash() {
-		t.Error("envelope and legacy-body hashes differ")
-	}
 }
 
 func TestMMmIndexBadSpec(t *testing.T) {
 	for name, body := range map[string]string{
-		"overloaded":      `{"servers": 1, "classes": [{"rate": 5, "service_mean": 1, "hold_cost": 1}]}`,
-		"non-exponential": `{"servers": 2, "classes": [{"rate": 1, "service": {"kind": "det", "value": 1}, "hold_cost": 1}]}`,
-		"no servers":      `{"classes": [{"rate": 0.5, "service_mean": 1, "hold_cost": 1}]}`,
+		"overloaded":       `{"servers": 1, "classes": [{"rate": 5, "service_mean": 1, "hold_cost": 1}]}`,
+		"non-exponential":  `{"servers": 2, "classes": [{"rate": 1, "service": {"kind": "det", "value": 1}, "hold_cost": 1}]}`,
+		"no servers":       `{"classes": [{"rate": 0.5, "service_mean": 1, "hold_cost": 1}]}`,
+		"too many servers": `{"classes": [{"rate": 0.1, "service_mean": 1, "hold_cost": 1}], "servers": 2000000000}`,
 	} {
-		req, err := ParseIndexBody("mmm", []byte(body))
+		req, err := ParseIndexRequest([]byte(`{"kind":"mmm","mmm":` + body + `}`))
 		if err != nil {
 			t.Fatalf("%s: parse: %v", name, err)
 		}

@@ -190,12 +190,16 @@ func ParseRequest(body []byte, lim Limits) (*Request, error) {
 			return nil, fmt.Errorf("field \"precision\": %w", err)
 		}
 	}
+	// A budget needs two replications: every response reports a 95%
+	// confidence interval, which one sample cannot give (its half-width is
+	// +Inf, and JSON cannot encode that). The engine's precision
+	// validation above holds the ceiling to the same floor.
 	budgetReps := req.BudgetReplications()
 	if lim.MaxReplications > 0 && budgetReps > lim.MaxReplications {
-		return nil, fmt.Errorf("replications %d outside [1, %d]", budgetReps, lim.MaxReplications)
+		return nil, fmt.Errorf("replications %d outside [2, %d]", budgetReps, lim.MaxReplications)
 	}
-	if budgetReps < 1 {
-		return nil, fmt.Errorf("replications %d must be at least 1", budgetReps)
+	if budgetReps < 2 {
+		return nil, fmt.Errorf("replications %d must be at least 2", budgetReps)
 	}
 	if req.Parallel < 0 || req.Parallel > 1024 {
 		return nil, fmt.Errorf("parallel %d outside [0, 1024]", req.Parallel)

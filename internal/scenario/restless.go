@@ -31,8 +31,7 @@ type (
 
 // restlessScenario estimates fleet-scale activation heuristics
 // (Whittle vs myopic vs random) via internal/restless; its Indexer
-// capability computes Whittle indices of the single project (the legacy
-// /v1/whittle endpoint).
+// capability computes Whittle indices of the single project.
 type restlessScenario struct{}
 
 func (restlessScenario) Kind() string { return "restless" }
@@ -155,7 +154,8 @@ func (restlessScenario) ParseIndexPayload(raw json.RawMessage) (any, error) {
 }
 
 // IndexHash hashes the flattened project-plus-knob struct — exactly the
-// pre-v2 /v1/whittle body, so legacy goldens and cache keys are preserved.
+// body of the retired /v1/whittle route, so goldens and cache keys are
+// preserved.
 func (restlessScenario) IndexHash(payload any) string {
 	return api.Hash(payload.(*api.WhittleRequest))
 }

@@ -111,10 +111,6 @@ func SimulateBody(kind string, seed uint64) string {
 	return fmt.Sprintf(t, seed)
 }
 
-// IndexPayload returns the canonical index payload fragment of the kind
-// (the input of ParseIndexBody), or "" when none is registered.
-func IndexPayload(kind string) string { return indexPayloads[kind] }
-
 // IndexBody returns the canonical /v1/index envelope of the kind, or ""
 // when the kind has no index payload.
 func IndexBody(kind string) string {

@@ -47,7 +47,7 @@ func TestBatchHeterogeneous(t *testing.T) {
 	simBody := fmt.Sprintf(mg1SimBody, 0)
 
 	w := post(t, h, "/v1/batch", batchOf(t,
-		api.BatchItem{Op: api.OpIndex, Body: json.RawMessage(indexEnvelope("bandit", []byte(gittinsBody)))},
+		api.BatchItem{Op: api.OpIndex, Body: json.RawMessage(gittinsBody)},
 		api.BatchItem{Op: api.OpIndex, Body: json.RawMessage(priorityBody)},
 		api.BatchItem{Op: api.OpSimulate, Body: json.RawMessage(simBody)},
 	))
@@ -61,8 +61,8 @@ func TestBatchHeterogeneous(t *testing.T) {
 	singles := []struct {
 		path, body string
 	}{
-		{"/v1/gittins", gittinsBody},
-		{"/v1/priority", priorityBody},
+		{"/v1/index", gittinsBody},
+		{"/v1/index", priorityBody},
 		{"/v1/simulate", simBody},
 	}
 	for i, item := range resp.Items {
@@ -79,10 +79,9 @@ func TestBatchHeterogeneous(t *testing.T) {
 	// The single calls above repeated the batch's specs: all three must
 	// have been cache hits, proving batched and unbatched traffic share
 	// one cache keyed identically.
-	for _, path := range []string{"/v1/gittins", "/v1/priority", "/v1/simulate"} {
-		idx := map[string]string{"/v1/gittins": gittinsBody, "/v1/priority": priorityBody, "/v1/simulate": simBody}
-		if w := post(t, h, path, idx[path]); w.Header().Get("X-Cache") != "hit" {
-			t.Errorf("%s after batch: X-Cache %q, want hit", path, w.Header().Get("X-Cache"))
+	for i, single := range singles {
+		if w := post(t, h, single.path, single.body); w.Header().Get("X-Cache") != "hit" {
+			t.Errorf("item %d (%s) after batch: X-Cache %q, want hit", i, single.path, w.Header().Get("X-Cache"))
 		}
 	}
 }
@@ -93,7 +92,7 @@ func TestBatchHeterogeneous(t *testing.T) {
 func TestBatchPartialFailure(t *testing.T) {
 	h := New(Config{}).Handler()
 	w := post(t, h, "/v1/batch", batchOf(t,
-		api.BatchItem{Op: api.OpIndex, Body: json.RawMessage(indexEnvelope("bandit", []byte(gittinsBody)))},
+		api.BatchItem{Op: api.OpIndex, Body: json.RawMessage(gittinsBody)},
 		api.BatchItem{Op: api.OpIndex, Body: json.RawMessage(`{"kind":"quantum","quantum":{}}`)},
 		api.BatchItem{Op: "teleport", Body: json.RawMessage(`{}`)},
 	))
@@ -123,9 +122,9 @@ func TestBatchItemOrderDeterministic(t *testing.T) {
 	h := New(Config{}).Handler()
 	specB := strings.Replace(gittinsBody, "0.3]", "0.31]", 1)
 	items := []api.BatchItem{
-		{Op: api.OpIndex, Body: json.RawMessage(indexEnvelope("bandit", []byte(gittinsBody)))},
-		{Op: api.OpIndex, Body: json.RawMessage(indexEnvelope("bandit", []byte(specB)))},
-		{Op: api.OpIndex, Body: json.RawMessage(indexEnvelope("bandit", []byte(gittinsBody)))},
+		{Op: api.OpIndex, Body: json.RawMessage(gittinsBody)},
+		{Op: api.OpIndex, Body: json.RawMessage(specB)},
+		{Op: api.OpIndex, Body: json.RawMessage(gittinsBody)},
 	}
 	w := post(t, h, "/v1/batch", batchOf(t, items...))
 	if w.Code != http.StatusOK {
@@ -157,7 +156,7 @@ func TestBatchLimits(t *testing.T) {
 	if w := post(t, h, "/v1/batch", `{"items":[]}`); w.Code != http.StatusBadRequest {
 		t.Errorf("empty batch: code %d, want 400", w.Code)
 	}
-	item := api.BatchItem{Op: api.OpIndex, Body: json.RawMessage(indexEnvelope("bandit", []byte(gittinsBody)))}
+	item := api.BatchItem{Op: api.OpIndex, Body: json.RawMessage(gittinsBody)}
 	if w := post(t, h, "/v1/batch", batchOf(t, item, item, item)); w.Code != http.StatusBadRequest {
 		t.Errorf("oversized batch: code %d, want 400", w.Code)
 	}
@@ -173,8 +172,8 @@ func TestBatchLimits(t *testing.T) {
 func TestStatsIndexAndBatchCounters(t *testing.T) {
 	s := New(Config{})
 	h := s.Handler()
-	post(t, h, "/v1/index", indexEnvelope("bandit", []byte(gittinsBody)))
-	item := api.BatchItem{Op: api.OpIndex, Body: json.RawMessage(indexEnvelope("bandit", []byte(gittinsBody)))}
+	post(t, h, "/v1/index", gittinsBody)
+	item := api.BatchItem{Op: api.OpIndex, Body: json.RawMessage(gittinsBody)}
 	post(t, h, "/v1/batch", batchOf(t, item, item, item))
 
 	var raw struct {

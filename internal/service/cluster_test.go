@@ -140,13 +140,13 @@ func TestClusterSimulateByteIdentity(t *testing.T) {
 }
 
 // TestClusterIndexByteIdentity is the same pin for the analytic index
-// surface, through both /v1/index and a legacy alias.
+// surface.
 func TestClusterIndexByteIdentity(t *testing.T) {
 	single := New(Config{}).Handler()
 	servers, _ := newRing(t, 3, nil)
 	for _, tc := range []struct{ path, body string }{
 		{"/v1/index", scenariotest.IndexBody("bandit")},
-		{"/v1/gittins", scenariotest.IndexPayload("bandit")},
+		{"/v1/index", scenariotest.IndexBody("restless")},
 		{"/v1/index", scenariotest.IndexBody("mg1")},
 	} {
 		w := post(t, single, tc.path, tc.body)

@@ -22,9 +22,6 @@ func TestGoldenBodies(t *testing.T) {
 	}
 	h := New(Config{}).Handler()
 	for _, tc := range []struct{ stem, ep, golden string }{
-		{"gittins", "gittins", ""},
-		{"whittle", "whittle", ""},
-		{"priority", "priority", ""},
 		{"simulate", "simulate", ""},
 		// The registry's non-mg1 simulate kinds, through the same endpoint.
 		{"simulate_restless", "simulate", ""},
@@ -36,14 +33,12 @@ func TestGoldenBodies(t *testing.T) {
 		// Target-precision mode with antithetic draws: the golden pins the
 		// stopping rule's spend (replications_used) end to end.
 		{"simulate_adaptive", "simulate", ""},
-		// The v2 surface: the kind-dispatched index envelope answers the
-		// legacy gittins golden byte-identically, and a heterogeneous batch
-		// has its own golden.
-		{"index", "index", "gittins"},
-		{"batch", "batch", ""},
-		// The analytic indexes of the network and MDP kinds.
+		// The analytic indexes of the network and MDP kinds; the bandit,
+		// restless and mg1 ones are pinned by TestIndexGoldenCompat.
 		{"jackson_index", "index", ""},
 		{"mdp_index", "index", ""},
+		// A heterogeneous batch has its own golden.
+		{"batch", "batch", ""},
 	} {
 		req, err := os.ReadFile(filepath.Join("testdata", tc.stem+"_req.json"))
 		if err != nil {
@@ -103,6 +98,44 @@ func TestSweepGoldenRows(t *testing.T) {
 			if !bytes.Equal(part.got, golden) {
 				t.Errorf("%s %s row drifted from testdata/%s_%s_golden.json:\ngot  %s\nwant %s",
 					stem, part.name, stem, part.name, part.got, golden)
+			}
+		}
+	}
+}
+
+// TestIndexGoldenCompat pins the analytic indexes the retired per-family
+// routes used to serve: /v1/index answers each of their goldens byte for
+// byte (spec_hash included, so cache keys and ETags are unchanged), and a
+// repeat of the same request is served from the cache.
+func TestIndexGoldenCompat(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("goldens are amd64-exact; running on %s", runtime.GOARCH)
+	}
+	for _, tc := range []struct{ stem, golden string }{
+		{"index", "gittins"}, // a bandit request
+		{"whittle", "whittle"},
+		{"priority", "priority"},
+	} {
+		req, err := os.ReadFile(filepath.Join("testdata", tc.stem+"_req.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden, err := os.ReadFile(filepath.Join("testdata", tc.golden+"_golden.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := New(Config{}).Handler()
+		for _, wantCache := range []string{"miss", "hit"} {
+			w := post(t, h, "/v1/index", string(req))
+			if w.Code != http.StatusOK {
+				t.Fatalf("/v1/index (%s): code %d: %s", tc.stem, w.Code, w.Body)
+			}
+			if !bytes.Equal(w.Body.Bytes(), golden) {
+				t.Errorf("/v1/index (%s) drifted from testdata/%s_golden.json:\ngot  %s\nwant %s",
+					tc.stem, tc.golden, w.Body.Bytes(), golden)
+			}
+			if got := w.Header().Get("X-Cache"); got != wantCache {
+				t.Errorf("/v1/index (%s): X-Cache = %q, want %q", tc.stem, got, wantCache)
 			}
 		}
 	}

@@ -5,75 +5,45 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"stochsched/internal/scenario/scenariotest"
 	"stochsched/pkg/api"
 )
 
-// This file covers the /v1/index surface of the API redesign: the
-// kind-dispatched endpoint, the byte-identity of the legacy aliases, the
-// method-scoped routing (405 + Allow), and the standard error envelope.
+// This file covers the /v1/index surface: the kind-dispatched endpoint,
+// the retired per-family routes, inputs that must answer 400 rather than
+// 500 or an unbounded computation, the method-scoped routing (405 +
+// Allow), and the standard error envelope.
 
-// indexEnvelope wraps a legacy single-kind body into its /v1/index form.
-func indexEnvelope(kind string, payload []byte) string {
+// indexEnvelope wraps a single-kind payload into its /v1/index form.
+func indexEnvelope(kind, payload string) string {
 	return fmt.Sprintf(`{"kind":%q,%q:%s}`, kind, kind, payload)
 }
 
-// TestIndexGoldenCompat is the golden-compat half of the redesign's
-// acceptance bar: for every legacy index endpoint, the pre-redesign golden
-// body must come back byte-identical BOTH from the legacy route and from
-// the equivalent kind-dispatched /v1/index request — and the two must
-// share one cache entry (the second request is a hit).
-func TestIndexGoldenCompat(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skipf("goldens are amd64-exact; running on %s", runtime.GOARCH)
+// TestRetiredIndexRoutes404: the per-family routes /v1/gittins,
+// /v1/whittle and /v1/priority are gone — /v1/index serves their bodies
+// (see TestIndexGoldenCompat) — so they answer 404, and /v1/stats carries no
+// metrics bucket for them.
+func TestRetiredIndexRoutes404(t *testing.T) {
+	s := New(Config{})
+	h := s.Handler()
+	for _, route := range []string{"/v1/gittins", "/v1/whittle", "/v1/priority"} {
+		if w := post(t, h, route, gittinsBody); w.Code != http.StatusNotFound {
+			t.Errorf("POST %s: code %d, want 404", route, w.Code)
+		}
 	}
-	cases := []struct {
-		stem   string // testdata stem (request + golden)
-		legacy string // legacy route
-		index  string // equivalent /v1/index body ("" = legacy body as-is)
-	}{
-		{"gittins", "gittins", "wrap:bandit"},
-		{"whittle", "whittle", "wrap:restless"},
-		{"priority", "priority", "as-is"},
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+	var stats StatsResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &stats); err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		req, err := os.ReadFile(filepath.Join("testdata", tc.stem+"_req.json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		golden, err := os.ReadFile(filepath.Join("testdata", tc.stem+"_golden.json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		indexBody := string(req)
-		if kind, ok := strings.CutPrefix(tc.index, "wrap:"); ok {
-			indexBody = indexEnvelope(kind, req)
-		}
-
-		h := New(Config{}).Handler()
-		legacy := post(t, h, "/v1/"+tc.legacy, string(req))
-		if legacy.Code != http.StatusOK {
-			t.Fatalf("/v1/%s: code %d: %s", tc.legacy, legacy.Code, legacy.Body)
-		}
-		if got := legacy.Body.Bytes(); string(got) != string(golden) {
-			t.Errorf("/v1/%s drifted from golden:\ngot  %s\nwant %s", tc.legacy, got, golden)
-		}
-		idx := post(t, h, "/v1/index", indexBody)
-		if idx.Code != http.StatusOK {
-			t.Fatalf("/v1/index (%s): code %d: %s", tc.stem, idx.Code, idx.Body)
-		}
-		if got := idx.Body.Bytes(); string(got) != string(golden) {
-			t.Errorf("/v1/index (%s) differs from the legacy golden:\ngot  %s\nwant %s", tc.stem, got, golden)
-		}
-		// One computation served both routes: the /v1/index request joined
-		// the legacy route's cache entry.
-		if got := idx.Header().Get("X-Cache"); got != "hit" {
-			t.Errorf("/v1/index (%s) after /v1/%s: X-Cache = %q, want hit (shared key)", tc.stem, tc.legacy, got)
+	for _, name := range []string{"gittins", "whittle", "priority"} {
+		if _, ok := stats.Endpoints[name]; ok {
+			t.Errorf("/v1/stats still reports endpoint %q", name)
 		}
 	}
 }
@@ -86,7 +56,7 @@ func TestIndexRejectsBadRequests(t *testing.T) {
 		`{"kind":"quantum","quantum":{}}`,              // unknown kind
 		`{"kind":"bandit"}`,                            // missing payload
 		`{"kind":"bandit","restless":{}}`,              // payload under the wrong kind
-		indexEnvelope("bandit", []byte(`{"beta":2}`)),  // payload fails validation
+		indexEnvelope("bandit", `{"beta":2}`),          // payload fails validation
 		`{"kind":"mg1","mg1":{"classes":[]},"x":true}`, // extra field
 	}
 	for _, body := range bad {
@@ -94,14 +64,49 @@ func TestIndexRejectsBadRequests(t *testing.T) {
 			t.Errorf("body %q: code %d, want 400 (%s)", body, w.Code, w.Body)
 		}
 	}
-	// /v1/priority is restricted to the priority family: a valid bandit
-	// index envelope is still a 400 there (legacy behavior).
-	banditBody := indexEnvelope("bandit", []byte(gittinsBody))
-	if w := post(t, h, "/v1/priority", banditBody); w.Code != http.StatusBadRequest {
-		t.Errorf("/v1/priority with bandit kind: code %d, want 400", w.Code)
-	}
-	if w := post(t, h, "/v1/index", banditBody); w.Code != http.StatusOK {
+	if w := post(t, h, "/v1/index", gittinsBody); w.Code != http.StatusOK {
 		t.Errorf("/v1/index with bandit kind: code %d, want 200 (%s)", w.Code, w.Body)
+	}
+}
+
+// TestUnservableInputsAnswer400: inputs the solvers cannot answer are the
+// client's fault, so each ends in a 400 error envelope within a bounded
+// time — never a 500 or a computation holding an admission slot.
+func TestUnservableInputsAnswer400(t *testing.T) {
+	h := New(Config{}).Handler()
+	multichain := `{"actions":[{"transitions":[[1,0],[0,1]],"rewards":[1,0]}]}`
+	type input struct{ name, path, body string }
+	var inputs []input
+	// A 1-sample CI95 is +Inf, which JSON cannot encode.
+	for _, kind := range scenariotest.SimulateKinds() {
+		one, err := api.SetNumber([]byte(scenariotest.SimulateBody(kind, 1)), "replications", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, input{kind + " replications 1", "/v1/simulate", string(one)})
+	}
+	for _, tc := range append(inputs, []input{
+		// Erlang C loops over the servers: 2e9 of them held a slot for 30+ s.
+		{"2e9 servers", "/v1/index", `{"kind":"mmm","mmm":{"classes":[{"rate":0.1,"service_mean":1,"hold_cost":1}],"servers":2000000000}}`},
+		// Relative value iteration does not converge on a multichain MDP.
+		{"multichain mdp index", "/v1/index", indexEnvelope("mdp", multichain)},
+		{"multichain mdp simulate", "/v1/simulate", `{"kind":"mdp","mdp":{"spec":` + multichain +
+			`,"policy":"optimal","horizon":100,"burnin":10},"seed":1,"replications":4}`},
+	}...) {
+		begin := time.Now()
+		w := post(t, h, tc.path, tc.body)
+		elapsed := time.Since(begin)
+		if w.Code != http.StatusBadRequest {
+			t.Errorf("%s: code %d, want 400 (%s)", tc.name, w.Code, w.Body)
+			continue
+		}
+		var env api.ErrorResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil || env.Err.Code != api.ErrCodeBadRequest {
+			t.Errorf("%s: body %q is not a bad_request envelope", tc.name, w.Body)
+		}
+		if elapsed > time.Second {
+			t.Errorf("%s: answered in %v, want milliseconds", tc.name, elapsed)
+		}
 	}
 }
 
@@ -122,9 +127,6 @@ func TestMethodNotAllowedOnEveryRoute(t *testing.T) {
 		allow string // exact Allow header
 	}{
 		{"/v1/index", "POST"},
-		{"/v1/gittins", "POST"},
-		{"/v1/whittle", "POST"},
-		{"/v1/priority", "POST"},
 		{"/v1/simulate", "POST"},
 		{"/v1/batch", "POST"},
 		{"/v1/sweep", "POST"},
@@ -160,8 +162,7 @@ func TestMethodNotAllowedOnEveryRoute(t *testing.T) {
 }
 
 // TestErrorEnvelopeShape pins the standardized error body
-// {"error":{"code","message"}} across representative failure classes, and
-// the client-side compat shim that still reads the legacy string form.
+// {"error":{"code","message"}} across representative failure classes.
 func TestErrorEnvelopeShape(t *testing.T) {
 	s := New(Config{})
 	h := s.Handler()
@@ -187,21 +188,11 @@ func TestErrorEnvelopeShape(t *testing.T) {
 		}
 	}
 
-	check(post(t, h, "/v1/gittins", `not json`), http.StatusBadRequest, api.ErrCodeBadRequest)
+	check(post(t, h, "/v1/index", `not json`), http.StatusBadRequest, api.ErrCodeBadRequest)
 	check(post(t, h, "/v1/index", `{"kind":"quantum","quantum":{}}`), http.StatusBadRequest, api.ErrCodeBadRequest)
 
 	req := httptest.NewRequest(http.MethodGet, "/v1/sweep/swp-nope", nil)
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, req)
 	check(w, http.StatusNotFound, api.ErrCodeNotFound)
-
-	// The compat shim: a pre-v2 string-form body decodes into the same
-	// ErrorResponse with an empty code.
-	var env api.ErrorResponse
-	if err := json.Unmarshal([]byte(`{"error":"server overloaded"}`), &env); err != nil {
-		t.Fatal(err)
-	}
-	if env.Err.Code != "" || env.Err.Message != "server overloaded" {
-		t.Errorf("legacy form decoded as %+v", env.Err)
-	}
 }

@@ -31,7 +31,7 @@ func TestEveryResponseCarriesRequestID(t *testing.T) {
 	h := s.Handler()
 	seen := make(map[string]bool)
 	probes := []*httptest.ResponseRecorder{
-		post(t, h, "/v1/gittins", gittinsBody),
+		post(t, h, "/v1/index", gittinsBody),
 		post(t, h, "/v1/simulate", `not json`), // 400 path
 		get(t, h, "/healthz"),
 		get(t, h, "/v1/stats"),
@@ -166,7 +166,7 @@ func TestTraceUnknownIDAndDisabledBuffer(t *testing.T) {
 	// the trace endpoint never finds them.
 	sd := New(Config{TraceBuffer: -1})
 	hd := sd.Handler()
-	r := post(t, hd, "/v1/gittins", gittinsBody)
+	r := post(t, hd, "/v1/index", gittinsBody)
 	id := r.Header().Get("X-Request-Id")
 	if id == "" {
 		t.Fatal("disabled tracing dropped the X-Request-Id header")
@@ -192,8 +192,8 @@ func TestTracingDoesNotPerturbBodies(t *testing.T) {
 func TestMetricsExposition(t *testing.T) {
 	s := New(Config{})
 	h := s.Handler()
-	post(t, h, "/v1/gittins", gittinsBody)
-	post(t, h, "/v1/gittins", gittinsBody)
+	post(t, h, "/v1/index", gittinsBody)
+	post(t, h, "/v1/index", gittinsBody)
 	post(t, h, "/v1/simulate", `garbage`) // error path must also show up
 
 	w := get(t, h, "/metrics")
@@ -217,12 +217,12 @@ func TestMetricsExposition(t *testing.T) {
 	}
 
 	for _, want := range []string{
-		`stochsched_requests_total{endpoint="gittins"} 2`,
-		`stochsched_cache_hits_total{endpoint="gittins"} 1`,
-		`stochsched_cache_misses_total{endpoint="gittins"} 1`,
+		`stochsched_requests_total{endpoint="index"} 2`,
+		`stochsched_cache_hits_total{endpoint="index"} 1`,
+		`stochsched_cache_misses_total{endpoint="index"} 1`,
 		`stochsched_errors_total{endpoint="simulate"} 1`,
-		`stochsched_request_duration_seconds_count{endpoint="gittins"} 2`,
-		`stochsched_request_duration_seconds_bucket{endpoint="gittins",le="+Inf"} 2`,
+		`stochsched_request_duration_seconds_count{endpoint="index"} 2`,
+		`stochsched_request_duration_seconds_bucket{endpoint="index",le="+Inf"} 2`,
 		"stochsched_cache_entries 1",
 		"stochsched_engine_workers ",
 		`stochsched_engine_chunks_total{mode="worker"}`,
@@ -241,7 +241,7 @@ func TestMetricsAgreesWithStats(t *testing.T) {
 	s := New(Config{})
 	h := s.Handler()
 	for i := 0; i < 5; i++ {
-		post(t, h, "/v1/gittins", gittinsBody)
+		post(t, h, "/v1/index", gittinsBody)
 	}
 	var stats api.StatsResponse
 	if err := json.Unmarshal(get(t, h, "/v1/stats").Body.Bytes(), &stats); err != nil {
@@ -249,13 +249,13 @@ func TestMetricsAgreesWithStats(t *testing.T) {
 	}
 	metrics := get(t, h, "/metrics").Body.String()
 
-	ep := stats.Endpoints["gittins"]
+	ep := stats.Endpoints["index"]
 	for _, pair := range [][2]string{
 		{"stochsched_requests_total", fmt.Sprint(ep.Requests)},
 		{"stochsched_cache_hits_total", fmt.Sprint(ep.CacheHits)},
 		{"stochsched_request_duration_seconds_count", fmt.Sprint(ep.Latency.Count)},
 	} {
-		want := pair[0] + `{endpoint="gittins"} ` + pair[1]
+		want := pair[0] + `{endpoint="index"} ` + pair[1]
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics disagree with stats: want line %q", want)
 		}
@@ -308,9 +308,9 @@ func TestTerminationPathsRecordMetrics(t *testing.T) {
 		{
 			name: "405 wrong method",
 			fire: func(t *testing.T, _ *Server, h http.Handler) int {
-				return get(t, h, "/v1/gittins").Code
+				return get(t, h, "/v1/index").Code
 			},
-			endpoint: "gittins",
+			endpoint: "index",
 			want:     http.StatusMethodNotAllowed,
 			bucket:   func(m *EndpointMetrics) int64 { return m.errors.Load() },
 		},
@@ -330,9 +330,9 @@ func TestTerminationPathsRecordMetrics(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer s.admit.Release()
-				return post(t, h, "/v1/gittins", gittinsBody).Code
+				return post(t, h, "/v1/index", gittinsBody).Code
 			},
-			endpoint: "gittins",
+			endpoint: "index",
 			want:     http.StatusTooManyRequests,
 			bucket:   func(m *EndpointMetrics) int64 { return m.shed.Load() },
 		},
@@ -365,7 +365,7 @@ func TestAccessLogEmitted(t *testing.T) {
 	logger := slog.New(slog.NewJSONHandler(&buf, nil))
 	s := New(Config{Logger: logger})
 	h := s.Handler()
-	w := post(t, h, "/v1/gittins", gittinsBody)
+	w := post(t, h, "/v1/index", gittinsBody)
 
 	var rec map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
@@ -378,8 +378,8 @@ func TestAccessLogEmitted(t *testing.T) {
 		t.Errorf("request_id %v != header %q", rec["request_id"], w.Header().Get("X-Request-Id"))
 	}
 	for key, want := range map[string]any{
-		"endpoint": "gittins", "kind": "bandit", "outcome": "miss",
-		"path": "/v1/gittins", "status": float64(200),
+		"endpoint": "index", "kind": "bandit", "outcome": "miss",
+		"path": "/v1/index", "status": float64(200),
 	} {
 		if rec[key] != want {
 			t.Errorf("log[%s] = %v, want %v", key, rec[key], want)

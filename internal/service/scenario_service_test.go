@@ -202,8 +202,8 @@ func TestSimulateRejectsBadNewKindRequests(t *testing.T) {
 func TestStatsCacheEntriesCompat(t *testing.T) {
 	s := New(Config{})
 	h := s.Handler()
-	post(t, h, "/v1/gittins", gittinsBody)
-	post(t, h, "/v1/priority", `{"kind":"batch","batch":{"jobs":[{"weight":1,"dist":{"kind":"det","value":1}}]}}`)
+	post(t, h, "/v1/index", gittinsBody)
+	post(t, h, "/v1/index", `{"kind":"batch","batch":{"jobs":[{"weight":1,"dist":{"kind":"det","value":1}}]}}`)
 
 	var raw map[string]json.RawMessage
 	if code := getJSON(t, h, "/v1/stats", &raw); code != http.StatusOK {

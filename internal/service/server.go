@@ -177,14 +177,9 @@ func New(cfg Config) *Server {
 		log:     cfg.Logger,
 		cluster: cfg.Cluster,
 	}
-	// gittins/whittle/priority are the legacy alias routes over /v1/index,
-	// kept as distinct buckets so pre-v2 dashboards keep working. sweep and
-	// sweep_cells are pseudo-endpoints: submissions of /v1/sweep and the
-	// individual simulate cells sweeps execute through the cache.
-	for _, name := range []string{
-		"gittins", "whittle", "priority", "index", "simulate", "batch",
-		"sweep", "sweep_cells",
-	} {
+	// sweep and sweep_cells are pseudo-endpoints: submissions of /v1/sweep
+	// and the individual simulate cells sweeps execute through the cache.
+	for _, name := range []string{"index", "simulate", "batch", "sweep", "sweep_cells"} {
 		s.eps[name] = &EndpointMetrics{}
 	}
 	// In a cluster, sweep cells route to their owning peer exactly like
@@ -226,9 +221,6 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc(pattern, s.methodNotAllowed(name, allow))
 	}
 	route(http.MethodPost, "/v1/index", "index", s.solverEndpoint("index", parseIndex), "POST")
-	route(http.MethodPost, "/v1/gittins", "gittins", s.solverEndpoint("gittins", indexAlias("bandit")), "POST")
-	route(http.MethodPost, "/v1/whittle", "whittle", s.solverEndpoint("whittle", indexAlias("restless")), "POST")
-	route(http.MethodPost, "/v1/priority", "priority", s.solverEndpoint("priority", parsePriorityAlias), "POST")
 	route(http.MethodPost, "/v1/simulate", "simulate", s.solverEndpoint("simulate", computeSimulate), "POST")
 	route(http.MethodPost, "/v1/batch", "batch", s.handleBatch, "POST")
 	route(http.MethodPost, "/v1/sweep", "sweep", s.handleSweepSubmit, "POST")
@@ -266,17 +258,6 @@ func (s *Server) methodNotAllowed(name, allow string) http.HandlerFunc {
 			fmt.Sprintf("%s does not allow %s (allow: %s)", r.URL.Path, r.Method, allow))
 	}
 }
-
-// The index request/response wire shapes live in the public contract
-// (pkg/api); the aliases keep this package's historical names working for
-// internal consumers and tests.
-type (
-	GittinsResponse  = api.GittinsResponse
-	WhittleRequest   = api.WhittleRequest
-	WhittleResponse  = api.WhittleResponse
-	PriorityRequest  = api.PriorityRequest
-	PriorityResponse = api.PriorityResponse
-)
 
 // badRequest marks an error as the client's fault (HTTP 400).
 type badRequest struct{ err error }
@@ -396,8 +377,7 @@ func (s *Server) solverEndpoint(name string, parse func(s *Server, body []byte) 
 		// In a cluster, a spec hash another peer owns is relayed there —
 		// unless this request is itself a forward (depth-1 loop guard) or
 		// the owner is down (degraded-mode local fallback). Routing is by
-		// cache key, so requests that share a cached body (a legacy alias
-		// and its /v1/index equivalent) also share an owner.
+		// cache key, so requests that share a cached body share an owner.
 		if s.maybeForward(w, r, m, "/v1/"+name, p.key, body) {
 			return
 		}
@@ -454,17 +434,20 @@ func marshal(v any) ([]byte, error) {
 }
 
 // ---------------------------------------------------------------------------
-// /v1/index (and the legacy aliases /v1/gittins, /v1/whittle, /v1/priority)
+// /v1/index
 //
 // Index computation is resolved through the scenario registry's Indexer
 // capability — the serving layer carries no per-kind solver code, exactly
-// like /v1/simulate. The cache key is family-prefixed with the legacy hash
-// encoding, so a legacy route and its /v1/index equivalent share one
-// cached, byte-identical body.
+// like /v1/simulate. The cache key is the index family plus the spec hash,
+// the key format ring ownership and state snapshots depend on.
 
-// indexParsed turns a parsed index request into its cache key and
-// computation.
-func indexParsed(req *scenario.IndexRequest) parsed {
+// parseIndex decodes a kind-dispatched /v1/index body into its cache key
+// and computation.
+func parseIndex(_ *Server, body []byte) (parsed, error) {
+	req, err := scenario.ParseIndexRequest(body)
+	if err != nil {
+		return parsed{}, badRequest{err}
+	}
 	return parsed{
 		key:  req.Family() + ":" + req.Hash(),
 		kind: req.Kind,
@@ -482,42 +465,7 @@ func indexParsed(req *scenario.IndexRequest) parsed {
 			defer esp.End()
 			return marshal(resp)
 		},
-	}
-}
-
-// parseIndex decodes a kind-dispatched /v1/index body.
-func parseIndex(_ *Server, body []byte) (parsed, error) {
-	req, err := scenario.ParseIndexRequest(body)
-	if err != nil {
-		return parsed{}, badRequest{err}
-	}
-	return indexParsed(req), nil
-}
-
-// indexAlias adapts a legacy single-kind route (/v1/gittins, /v1/whittle)
-// whose whole body is the payload of one fixed kind.
-func indexAlias(kind string) func(*Server, []byte) (parsed, error) {
-	return func(_ *Server, body []byte) (parsed, error) {
-		req, err := scenario.ParseIndexBody(kind, body)
-		if err != nil {
-			return parsed{}, badRequest{err}
-		}
-		return indexParsed(req), nil
-	}
-}
-
-// parsePriorityAlias adapts the legacy /v1/priority route: its body is
-// already a kind-dispatched index envelope ({"kind":"mg1"|"batch",…}), so
-// the alias is a parse restricted to the priority family.
-func parsePriorityAlias(_ *Server, body []byte) (parsed, error) {
-	req, err := scenario.ParseIndexRequest(body)
-	if err != nil {
-		return parsed{}, badRequest{err}
-	}
-	if req.Family() != "priority" {
-		return parsed{}, badRequest{fmt.Errorf("unknown priority kind %q (want mg1 or batch)", req.Kind)}
-	}
-	return indexParsed(req), nil
+	}, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -317,6 +317,11 @@ func classes(list []Class) ([]queueing.Class, error) {
 // ---------------------------------------------------------------------------
 // Multiclass M/M/m
 
+// MaxServers bounds the server count of an M/M/m spec. The Erlang-C and
+// multiserver Cobham computations loop over the servers, so the bound
+// keeps every mmm index and simulation a bounded computation.
+const MaxServers = 10000
+
 // ValidateMMm checks every class (exponential services only), the server
 // count, and stability.
 func ValidateMMm(m *MMm) error {
@@ -326,6 +331,9 @@ func ValidateMMm(m *MMm) error {
 
 // MMmModel converts the spec into a validated queueing model.
 func MMmModel(m *MMm) (*queueing.MMm, error) {
+	if m.Servers > MaxServers {
+		return nil, fmt.Errorf("spec: servers %d above the limit %d", m.Servers, MaxServers)
+	}
 	cs, err := classes(m.Classes)
 	if err != nil {
 		return nil, err

@@ -2,7 +2,6 @@ package spec
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -197,37 +196,5 @@ func TestHashStableAndDiscriminating(t *testing.T) {
 	}
 	if len(Hash(&a)) != 64 {
 		t.Fatalf("hash length %d, want 64", len(Hash(&a)))
-	}
-}
-
-func TestParseClass(t *testing.T) {
-	c, err := ParseClass("0.3:0.5:4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Rate != 0.3 || c.ServiceMean != 0.5 || c.HoldCost != 4 {
-		t.Fatalf("parsed %+v", c)
-	}
-	bad := []string{
-		"", "bogus", "1:2", "1:2:3:4",
-		"-1:2:3",  // negative rate
-		"0:2:3",   // zero rate
-		"1:-2:3",  // negative mean
-		"1:0:3",   // zero mean
-		"1:2:-3",  // negative cost
-		"1:2:3x",  // trailing garbage
-		"1:two:3", // non-numeric
-		"1:2:",    // empty field
-	}
-	for _, v := range bad {
-		if _, err := ParseClass(v); err == nil {
-			t.Errorf("ParseClass(%q) accepted", v)
-		}
-	}
-	for _, v := range bad {
-		if _, err := ParseClass(v); err != nil && !strings.Contains(err.Error(), v) && v != "" {
-			// Errors should echo the offending spec for CLI usability.
-			t.Errorf("ParseClass(%q) error %q does not mention input", v, err)
-		}
 	}
 }

@@ -17,13 +17,11 @@
 //   - Simulate envelope (SimulateRequest / SimulateResponse) and the
 //     per-kind payload/result fragments (MG1Sim/MG1Result, …).
 //   - Index requests and responses (IndexRequest, GittinsResponse,
-//     WhittleResponse, PriorityResponse) for POST /v1/index and its
-//     legacy aliases /v1/gittins, /v1/whittle, /v1/priority.
+//     WhittleResponse, PriorityResponse, …) for POST /v1/index.
 //   - Batch multiplexing (BatchRequest / BatchResponse) for POST /v1/batch.
 //   - Sweeps (SweepRequest, SweepStatus, SweepRow, Grid) for /v1/sweep.
 //   - Stats (StatsResponse) for GET /v1/stats.
-//   - The error envelope (ErrorResponse) shared by every endpoint, with a
-//     compatibility decoder for the pre-v2 string form.
+//   - The error envelope (ErrorResponse) shared by every endpoint.
 //
 // # Canonical hashing
 //

@@ -1,9 +1,6 @@
 package api
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "fmt"
 
 // ---------------------------------------------------------------------------
 // The JSON error envelope shared by every endpoint:
@@ -35,30 +32,6 @@ func (e *ErrorDetail) Error() string {
 }
 
 // ErrorResponse is the error envelope every non-2xx response carries.
-//
-// Compatibility shim: pre-v2 servers answered {"error": "<message>"} with
-// a bare string. UnmarshalJSON accepts both forms — the string form
-// decodes into Message with an empty Code — so clients built against this
-// package work with either generation of server (see docs/api.md).
 type ErrorResponse struct {
 	Err ErrorDetail `json:"error"`
-}
-
-// UnmarshalJSON decodes both the v2 object envelope and the legacy string
-// form.
-func (r *ErrorResponse) UnmarshalJSON(data []byte) error {
-	var probe struct {
-		Err json.RawMessage `json:"error"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return err
-	}
-	if len(probe.Err) == 0 {
-		return fmt.Errorf("api: error body carries no error field")
-	}
-	if probe.Err[0] == '"' {
-		r.Err = ErrorDetail{}
-		return json.Unmarshal(probe.Err, &r.Err.Message)
-	}
-	return json.Unmarshal(probe.Err, &r.Err)
 }

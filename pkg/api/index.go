@@ -2,15 +2,7 @@ package api
 
 // ---------------------------------------------------------------------------
 // POST /v1/index — analytic index/priority computation, kind-dispatched
-// like /v1/simulate. The legacy routes are thin aliases over the same
-// computation:
-//
-//	/v1/gittins  ≡ /v1/index {"kind":"bandit","bandit":<Bandit>}
-//	/v1/whittle  ≡ /v1/index {"kind":"restless","restless":<WhittleRequest>}
-//	/v1/priority ≡ /v1/index {"kind":"mg1"|"batch", ...}   (same body!)
-//
-// Responses — including spec_hash — are byte-identical between a legacy
-// route and its /v1/index equivalent, and the two share one cache entry.
+// like /v1/simulate.
 
 // IndexRequest is the body of POST /v1/index: the kind plus exactly one
 // payload field named after the kind.
@@ -25,9 +17,8 @@ type IndexRequest struct {
 	MDP      *MDP            `json:"mdp,omitempty"`
 }
 
-// WhittleRequest is the "restless" index payload (and the whole body of
-// the legacy POST /v1/whittle): a restless project spec plus the optional
-// indexability check.
+// WhittleRequest is the "restless" index payload: a restless project spec
+// plus the optional indexability check.
 type WhittleRequest struct {
 	Restless
 	// CheckIndexability additionally sweeps the subsidy range and reports
@@ -40,11 +31,10 @@ type WhittleRequest struct {
 	M int `json:"m,omitempty"`
 }
 
-// PriorityRequest is the body of the legacy POST /v1/priority. Kind
-// selects the model family: "mg1" (cµ order; Klimov order when the spec
-// has feedback) or "batch" (WSEPT/SEPT/LEPT orders). Note the shape is a
-// valid IndexRequest — /v1/priority is literally an alias of /v1/index
-// restricted to the priority kinds.
+// PriorityRequest is an IndexRequest restricted to the priority kinds:
+// "mg1" (cµ order; Klimov order when the spec has feedback) or "batch"
+// (WSEPT/SEPT/LEPT orders). Its encoding is also what the mg1 and batch
+// index spec hashes cover.
 type PriorityRequest struct {
 	Kind  string `json:"kind"`
 	MG1   *MG1   `json:"mg1,omitempty"`

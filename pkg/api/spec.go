@@ -22,10 +22,9 @@ type Dist struct {
 	K     int     `json:"k,omitempty"`
 }
 
-// Bandit is a single discounted bandit project: the body of POST
-// /v1/gittins (and the "bandit" payload of POST /v1/index). Beta is the
-// discount in (0,1); Transitions is a row-stochastic n×n matrix; Rewards
-// has length n.
+// Bandit is a single discounted bandit project: the "bandit" payload of
+// POST /v1/index. Beta is the discount in (0,1); Transitions is a
+// row-stochastic n×n matrix; Rewards has length n.
 type Bandit struct {
 	Beta        float64     `json:"beta"`
 	Transitions [][]float64 `json:"transitions"`
@@ -51,8 +50,8 @@ type Action struct {
 	Rewards     []float64   `json:"rewards"`
 }
 
-// Restless is a two-action restless project: the body of POST /v1/whittle
-// (minus the check_indexability knob — see WhittleRequest).
+// Restless is a two-action restless project: the "restless" index payload
+// minus its knobs (see WhittleRequest).
 type Restless struct {
 	Beta    float64 `json:"beta"`
 	Passive Action  `json:"passive"`

@@ -265,8 +265,9 @@ func TestClientRetriesOn429(t *testing.T) {
 	}
 }
 
-// TestClientLegacyErrorShim: a pre-v2 server answering the string error
-// form still yields a structured APIError (empty code).
+// TestClientLegacyErrorShim: an error body that is not the envelope (here
+// the pre-v2 string form) still yields an APIError carrying the status,
+// with the raw body as its message.
 func TestClientLegacyErrorShim(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusBadRequest)
@@ -279,8 +280,8 @@ func TestClientLegacyErrorShim(t *testing.T) {
 	if !errors.As(err, &apiErr) {
 		t.Fatalf("error %v", err)
 	}
-	if apiErr.Code != "" || apiErr.Message != "legacy message" || apiErr.Status != http.StatusBadRequest {
-		t.Errorf("legacy shim decoded %+v", apiErr)
+	if apiErr.Code != "" || apiErr.Message != `{"error":"legacy message"}` || apiErr.Status != http.StatusBadRequest {
+		t.Errorf("non-envelope error decoded as %+v", apiErr)
 	}
 }
 
