@@ -30,6 +30,15 @@ func TestGoldenBodies(t *testing.T) {
 		{"simulate_polling", "simulate", ""},
 		{"simulate_mdp", "simulate", ""},
 		{"simulate_flowshop", "simulate", ""},
+		// The remaining served DES paths: mmm under both policies, mg1 with
+		// feedback (klimov), jackson lbfs with probabilistic routes, and the
+		// gated and limited polling regimes.
+		{"simulate_mmm_cmu", "simulate", ""},
+		{"simulate_mmm_fifo", "simulate", ""},
+		{"simulate_klimov", "simulate", ""},
+		{"simulate_jackson_lbfs", "simulate", ""},
+		{"simulate_polling_gated", "simulate", ""},
+		{"simulate_polling_limited", "simulate", ""},
 		// Target-precision mode with antithetic draws: the golden pins the
 		// stopping rule's spend (replications_used) end to end.
 		{"simulate_adaptive", "simulate", ""},
