@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race conformance bench bench-check loadgen-smoke smoke cluster-smoke docs-check fmt fmt-check vet ci
+.PHONY: build test race conformance bench bench-check e2ebench-test loadgen-smoke smoke cluster-smoke docs-check fmt fmt-check vet ci
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,12 @@ bench:
 # changes.
 bench-check:
 	./scripts/bench_delta.sh $(BENCH)
+
+# The end-to-end benchmark (e2ebench/) is its own Go module, so
+# `go build ./...` does not see it; it calls the queueing and des APIs
+# directly. Vet and test it on its own.
+e2ebench-test:
+	cd e2ebench && GOFLAGS=-mod=mod $(GO) vet ./... && GOFLAGS=-mod=mod $(GO) test ./...
 
 # Loadgen smoke: start a real daemon and soak it through `stochsched
 # loadgen -check` — zero non-429 errors and populated /v1/stats latency
@@ -74,4 +80,4 @@ vet:
 	$(GO) vet ./...
 
 # The CI entry point: identical to what .github/workflows/ci.yml runs.
-ci: build vet fmt-check test race conformance smoke cluster-smoke docs-check bench-check loadgen-smoke
+ci: build vet fmt-check test race conformance e2ebench-test smoke cluster-smoke docs-check bench-check loadgen-smoke

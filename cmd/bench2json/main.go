@@ -16,7 +16,8 @@
 // With -check BASELINE.json it becomes the regression gate `make
 // bench-check` runs: instead of emitting JSON it compares the measurements
 // on stdin against the checked-in baseline and exits 1 when any benchmark
-// regresses more than -tolerance percent in ns/op or bytes/op.
+// regresses more than -tolerance percent in ns/op or bytes/op, or has no
+// baseline entry at its (name, GOMAXPROCS).
 package main
 
 import (
@@ -161,9 +162,10 @@ func best(entries []Entry) (map[benchKey]Entry, []benchKey) {
 }
 
 // check compares the current measurements against the baseline and reports
-// one line per benchmark. It returns false when any benchmark present in
-// both regresses beyond tolerance percent on ns/op or bytes/op; benchmarks
-// new to the baseline (or missing from this run) are reported but pass.
+// one line per benchmark. It returns false when any benchmark regresses
+// beyond tolerance percent on ns/op or bytes/op, or was measured with no
+// baseline entry — a benchmark renamed, newly added, or run at another
+// GOMAXPROCS than its baseline would otherwise pass unchecked.
 func check(w io.Writer, baseline, current []Entry, tolerance float64) bool {
 	base, _ := best(baseline)
 	cur, order := best(current)
@@ -182,7 +184,8 @@ func check(w io.Writer, baseline, current []Entry, tolerance float64) bool {
 		c := cur[k]
 		b, seen := base[k]
 		if !seen {
-			fmt.Fprintf(w, "NEW   %s-%d: %.0f ns/op (no baseline entry)\n", k.name, k.procs, c.NsPerOp)
+			ok = false
+			fmt.Fprintf(w, "FAIL  NEW %s-%d: %.0f ns/op has no baseline entry (re-record with make bench)\n", k.name, k.procs, c.NsPerOp)
 			continue
 		}
 		nsDelta := delta(b.NsPerOp, c.NsPerOp)

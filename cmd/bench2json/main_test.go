@@ -72,11 +72,17 @@ func TestCheckFailsOnBytesRegression(t *testing.T) {
 	}
 }
 
-func TestCheckToleratesNewBenchmarks(t *testing.T) {
-	ok, out := checkAgainst(t, 1000, 500,
-		"BenchmarkX 10 990 ns/op 500 B/op 3 allocs/op\nBenchmarkY 10 1 ns/op\n", 15)
-	if !ok || !strings.Contains(out, "NEW") {
-		t.Errorf("new benchmark handling:\n%s", out)
+// A measured benchmark with no baseline entry fails the gate, and so does
+// one measured at a GOMAXPROCS its baseline was not recorded at.
+func TestCheckFailsOnNewBenchmarks(t *testing.T) {
+	for _, run := range []string{
+		"BenchmarkX 10 990 ns/op 500 B/op 3 allocs/op\nBenchmarkY 10 1 ns/op\n",
+		"BenchmarkX-2 10 990 ns/op 500 B/op 3 allocs/op\n",
+	} {
+		ok, out := checkAgainst(t, 1000, 500, run, 15)
+		if ok || !strings.Contains(out, "FAIL  NEW") {
+			t.Errorf("unbaselined benchmark passed the gate:\n%s", out)
+		}
 	}
 }
 

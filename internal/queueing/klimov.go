@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 
-	"stochsched/internal/des"
 	"stochsched/internal/engine"
 	"stochsched/internal/linalg"
 	"stochsched/internal/rng"
@@ -179,113 +178,24 @@ func KlimovOrderByIndex(indices []float64) []int {
 // Simulate runs the feedback network under a static nonpreemptive priority
 // order (highest first) and returns steady-state estimates.
 func (k *KlimovNetwork) Simulate(order []int, horizon, burnin float64, s *rng.Stream) (*SimResult, error) {
+	return k.simulate(context.Background(), order, horizon, burnin, s)
+}
+
+func (k *KlimovNetwork) simulate(ctx context.Context, order []int, horizon, burnin float64, s *rng.Stream) (*SimResult, error) {
 	if err := k.Validate(); err != nil {
 		return nil, err
 	}
-	if horizon <= burnin || burnin < 0 {
-		return nil, fmt.Errorf("queueing: need 0 <= burnin < horizon")
+	if err := checkWindow(horizon, burnin); err != nil {
+		return nil, err
 	}
-	n := len(k.Classes)
-	if len(order) != n {
-		return nil, fmt.Errorf("queueing: order length %d, want %d", len(order), n)
+	f, err := k.feedbackFrame(ctx, order, burnin, s)
+	if err != nil {
+		return nil, err
 	}
-	rank := make([]int, n)
-	for r, cls := range order {
-		rank[cls] = r
+	if err := f.run(horizon, nil); err != nil {
+		return nil, err
 	}
-	sim := des.New()
-	arrStreams := make([]*rng.Stream, n)
-	svcStreams := make([]*rng.Stream, n)
-	routeStream := s.Split()
-	for j := 0; j < n; j++ {
-		arrStreams[j] = s.Split()
-		svcStreams[j] = s.Split()
-	}
-
-	var waiting []job
-	inService := false
-	count := make([]int, n)
-	lTrack := make([]stats.TimeWeighted, n)
-	served := make([]int64, n)
-
-	observe := func(j int) {
-		if sim.Now() >= burnin {
-			lTrack[j].Observe(sim.Now(), float64(count[j]))
-		}
-	}
-
-	route := func(i int) (int, bool) {
-		u := routeStream.Float64()
-		acc := 0.0
-		for j := 0; j < n; j++ {
-			acc += k.Feedback.At(i, j)
-			if u < acc {
-				return j, true
-			}
-		}
-		return 0, false // exit
-	}
-
-	var startService func()
-	startService = func() {
-		if inService || len(waiting) == 0 {
-			return
-		}
-		best, bestRank := -1, math.MaxInt32
-		for i, jb := range waiting {
-			if rank[jb.class] < bestRank {
-				best, bestRank = i, rank[jb.class]
-			}
-		}
-		jb := waiting[best]
-		waiting = append(waiting[:best], waiting[best+1:]...)
-		inService = true
-		dur := k.Classes[jb.class].Service.Sample(svcStreams[jb.class])
-		sim.Schedule(dur, func() {
-			inService = false
-			count[jb.class]--
-			observe(jb.class)
-			if sim.Now() >= burnin {
-				served[jb.class]++
-			}
-			if next, stay := route(jb.class); stay {
-				count[next]++
-				observe(next)
-				waiting = append(waiting, job{class: next, arrival: sim.Now()})
-			}
-			startService()
-		})
-	}
-
-	var arrive func(j int)
-	arrive = func(j int) {
-		count[j]++
-		observe(j)
-		waiting = append(waiting, job{class: j, arrival: sim.Now()})
-		startService()
-		sim.Schedule(arrStreams[j].Exp(k.Classes[j].ArrivalRate), func() { arrive(j) })
-	}
-	for j := 0; j < n; j++ {
-		if k.Classes[j].ArrivalRate > 0 {
-			j := j
-			sim.Schedule(arrStreams[j].Exp(k.Classes[j].ArrivalRate), func() { arrive(j) })
-		}
-	}
-	sim.At(burnin, func() {
-		for j := 0; j < n; j++ {
-			lTrack[j].Observe(burnin, float64(count[j]))
-		}
-	})
-	sim.RunUntil(horizon)
-
-	res := &SimResult{L: make([]float64, n), Wq: make([]float64, n), Served: served}
-	cost := 0.0
-	for j := 0; j < n; j++ {
-		res.L[j] = lTrack[j].Average(horizon)
-		cost += k.Classes[j].HoldCost * res.L[j]
-	}
-	res.CostRate = cost
-	return res, nil
+	return f.result(horizon), nil
 }
 
 // SimulateDiscounted runs the feedback network under a static priority
@@ -300,100 +210,41 @@ func (k *KlimovNetwork) SimulateDiscounted(order []int, discountRate, horizon fl
 	if discountRate <= 0 || horizon <= 0 {
 		return 0, fmt.Errorf("queueing: need positive discount rate and horizon")
 	}
+	f, err := k.feedbackFrame(context.Background(), order, 0, s)
+	if err != nil {
+		return 0, err
+	}
+	f.discount = discountRate
+	if err := f.run(horizon, nil); err != nil {
+		return 0, err
+	}
+	return f.total, nil
+}
+
+// feedbackFrame builds one replication's event loop: the routing stream is split
+// off s first, then the class streams; one single server serves by the
+// priority order and routes each completion through the feedback matrix.
+func (k *KlimovNetwork) feedbackFrame(ctx context.Context, order []int, burnin float64, s *rng.Stream) (*frame, error) {
 	n := len(k.Classes)
 	if len(order) != n {
-		return 0, fmt.Errorf("queueing: order length %d, want %d", len(order), n)
+		return nil, fmt.Errorf("queueing: order length %d, want %d", len(order), n)
 	}
-	rank := make([]int, n)
-	for r, cls := range order {
-		rank[cls] = r
-	}
-	sim := des.New()
-	arrStreams := make([]*rng.Stream, n)
-	svcStreams := make([]*rng.Stream, n)
 	routeStream := s.Split()
-	for j := 0; j < n; j++ {
-		arrStreams[j] = s.Split()
-		svcStreams[j] = s.Split()
-	}
-
-	var waiting []job
-	inService := false
-	count := make([]int, n)
-	lastT := 0.0
-	costRate := 0.0 // current Σ c_j n_j
-	total := 0.0
-
-	// accrue integrates e^{-rt}·costRate over [lastT, now].
-	accrue := func() {
-		now := sim.Now()
-		if now > lastT && costRate != 0 {
-			r := discountRate
-			total += costRate * (math.Exp(-r*lastT) - math.Exp(-r*now)) / r
-		}
-		lastT = now
-	}
-
-	adjust := func(j, delta int) {
-		accrue()
-		count[j] += delta
-		costRate += float64(delta) * k.Classes[j].HoldCost
-	}
-
-	route := func(i int) (int, bool) {
+	f := newFrame(ctx, k.Classes, burnin, s)
+	st := f.stations(1, 1)
+	st.rank = ranks(order, n)
+	st.route = func(i int) int {
 		u := routeStream.Float64()
 		acc := 0.0
 		for j := 0; j < n; j++ {
 			acc += k.Feedback.At(i, j)
 			if u < acc {
-				return j, true
+				return j
 			}
 		}
-		return 0, false
+		return -1 // exit
 	}
-
-	var startService func()
-	startService = func() {
-		if inService || len(waiting) == 0 {
-			return
-		}
-		best, bestRank := -1, math.MaxInt32
-		for i, jb := range waiting {
-			if rank[jb.class] < bestRank {
-				best, bestRank = i, rank[jb.class]
-			}
-		}
-		jb := waiting[best]
-		waiting = append(waiting[:best], waiting[best+1:]...)
-		inService = true
-		dur := k.Classes[jb.class].Service.Sample(svcStreams[jb.class])
-		sim.Schedule(dur, func() {
-			inService = false
-			adjust(jb.class, -1)
-			if next, stay := route(jb.class); stay {
-				adjust(next, +1)
-				waiting = append(waiting, job{class: next, arrival: sim.Now()})
-			}
-			startService()
-		})
-	}
-
-	var arrive func(j int)
-	arrive = func(j int) {
-		adjust(j, +1)
-		waiting = append(waiting, job{class: j, arrival: sim.Now()})
-		startService()
-		sim.Schedule(arrStreams[j].Exp(k.Classes[j].ArrivalRate), func() { arrive(j) })
-	}
-	for j := 0; j < n; j++ {
-		if k.Classes[j].ArrivalRate > 0 {
-			j := j
-			sim.Schedule(arrStreams[j].Exp(k.Classes[j].ArrivalRate), func() { arrive(j) })
-		}
-	}
-	sim.RunUntil(horizon)
-	accrue()
-	return total, nil
+	return f, nil
 }
 
 // ReplicateKlimov aggregates replications of Simulate under one order on
@@ -410,14 +261,10 @@ func (k *KlimovNetwork) ReplicateKlimov(ctx context.Context, p *engine.Pool, ord
 // ReplicateKlimovInto folds reps further replications into out, continuing
 // s's substream sequence — the accumulation form the adaptive rounds use.
 func (k *KlimovNetwork) ReplicateKlimovInto(ctx context.Context, p *engine.Pool, order []int, horizon, burnin float64, reps int, s *rng.Stream, out *stats.Running) error {
-	return engine.ReplicateInto(ctx, p, 0, reps, s,
-		func(_ context.Context, _ int, sub *rng.Stream) (float64, error) {
-			res, err := k.Simulate(order, horizon, burnin, sub)
-			if err != nil {
-				return 0, err
-			}
-			return res.CostRate, nil
-		}, out)
+	return replicate(ctx, p, reps, s, nil, nil, out,
+		func(ctx context.Context, sub *rng.Stream) (*SimResult, error) {
+			return k.simulate(ctx, order, horizon, burnin, sub)
+		})
 }
 
 // NoFeedback builds a KlimovNetwork with zero feedback from an MG1 model,

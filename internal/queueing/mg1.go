@@ -12,10 +12,12 @@
 // instability (Bramson 1994 context); and a single-station fluid model
 // (Chen–Yao 1993).
 //
-// All replication loops (MG1.Replicate, ReplicateKlimov, and the M/M/m and
-// polling experiment helpers) run on internal/engine with per-replication
-// RNG substreams, so estimates are byte-identical at any parallelism for a
-// given seed. The policy service exposes the cµ/Klimov orders as
+// Every simulator runs on one event-loop frame (frame.go) with one of two
+// server rules: the priority-station dispatcher (M/G/1, preemptive M/M/1,
+// M/M/m, Klimov feedback, multi-station networks) or polling's visit
+// cycle. Every Replicate method runs on internal/engine with
+// per-replication RNG substreams, so estimates are byte-identical at any
+// parallelism for a given seed. The policy service exposes the cµ/Klimov orders as
 // POST /v1/index (kind "mg1") and the simulators as POST /v1/simulate —
 // which the sweep subsystem (internal/sweep) fans out over whole parameter
 // grids; specs enter through internal/spec.MG1 (see docs/api.md).

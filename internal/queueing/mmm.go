@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"stochsched/internal/des"
 	"stochsched/internal/dist"
 	"stochsched/internal/engine"
 	"stochsched/internal/rng"
@@ -73,116 +72,39 @@ func (m *MMm) FastSingleServerBound() (float64, error) {
 // Simulate runs the M/M/m under a static nonpreemptive priority order
 // (highest first).
 func (m *MMm) Simulate(order []int, horizon, burnin float64, s *rng.Stream) (*SimResult, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
+	if order == nil {
+		order = []int{} // nil is simulate's FIFO selector; here it is a length error
 	}
-	if horizon <= burnin || burnin < 0 {
-		return nil, fmt.Errorf("queueing: need 0 <= burnin < horizon")
-	}
-	n := len(m.Classes)
-	if len(order) != n {
-		return nil, fmt.Errorf("queueing: order length %d, want %d", len(order), n)
-	}
-	rank := make([]int, n)
-	for r, cls := range order {
-		rank[cls] = r
-	}
-	return m.simulate(rank, horizon, burnin, s)
+	return m.simulate(context.Background(), order, horizon, burnin, s)
 }
 
 // SimulateFIFO runs the M/M/m first-come-first-served: with every class at
-// equal rank the dispatcher below picks the earliest waiting arrival. The
+// equal rank the dispatcher picks the earliest waiting arrival. The
 // random-number consumption is identical to Simulate, so cmu and fifo
 // replications of the same seed see the same arrival/service draws.
 func (m *MMm) SimulateFIFO(horizon, burnin float64, s *rng.Stream) (*SimResult, error) {
+	return m.simulate(context.Background(), nil, horizon, burnin, s)
+}
+
+// simulate runs one replication under a priority order, or FIFO when order
+// is nil.
+func (m *MMm) simulate(ctx context.Context, order []int, horizon, burnin float64, s *rng.Stream) (*SimResult, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	if horizon <= burnin || burnin < 0 {
-		return nil, fmt.Errorf("queueing: need 0 <= burnin < horizon")
+	if err := checkWindow(horizon, burnin); err != nil {
+		return nil, err
 	}
-	return m.simulate(make([]int, len(m.Classes)), horizon, burnin, s)
-}
-
-// simulate is the common event loop: rank maps class -> priority (lower is
-// served first; the strict < in dispatch breaks ties by arrival order, so
-// all-equal ranks degrade to FIFO).
-func (m *MMm) simulate(rank []int, horizon, burnin float64, s *rng.Stream) (*SimResult, error) {
 	n := len(m.Classes)
-	sim := des.New()
-	arrStreams := make([]*rng.Stream, n)
-	svcStreams := make([]*rng.Stream, n)
-	for j := 0; j < n; j++ {
-		arrStreams[j] = s.Split()
-		svcStreams[j] = s.Split()
+	if order != nil && len(order) != n {
+		return nil, fmt.Errorf("queueing: order length %d, want %d", len(order), n)
 	}
-
-	var waiting []job
-	freeServers := m.Servers
-	count := make([]int, n)
-	lTrack := make([]stats.TimeWeighted, n)
-	served := make([]int64, n)
-
-	observe := func(j int) {
-		if sim.Now() >= burnin {
-			lTrack[j].Observe(sim.Now(), float64(count[j]))
-		}
+	f := newFrame(ctx, m.Classes, burnin, s)
+	f.stations(1, m.Servers).rank = ranks(order, n)
+	if err := f.run(horizon, nil); err != nil {
+		return nil, err
 	}
-
-	var dispatch func()
-	dispatch = func() {
-		for freeServers > 0 && len(waiting) > 0 {
-			best, bestRank := -1, int(^uint(0)>>1)
-			for i, jb := range waiting {
-				if rank[jb.class] < bestRank {
-					best, bestRank = i, rank[jb.class]
-				}
-			}
-			jb := waiting[best]
-			waiting = append(waiting[:best], waiting[best+1:]...)
-			freeServers--
-			dur := m.Classes[jb.class].Service.Sample(svcStreams[jb.class])
-			sim.Schedule(dur, func() {
-				freeServers++
-				count[jb.class]--
-				observe(jb.class)
-				if sim.Now() >= burnin {
-					served[jb.class]++
-				}
-				dispatch()
-			})
-		}
-	}
-
-	var arrive func(j int)
-	arrive = func(j int) {
-		count[j]++
-		observe(j)
-		waiting = append(waiting, job{class: j, arrival: sim.Now()})
-		dispatch()
-		sim.Schedule(arrStreams[j].Exp(m.Classes[j].ArrivalRate), func() { arrive(j) })
-	}
-	for j := 0; j < n; j++ {
-		if m.Classes[j].ArrivalRate > 0 {
-			j := j
-			sim.Schedule(arrStreams[j].Exp(m.Classes[j].ArrivalRate), func() { arrive(j) })
-		}
-	}
-	sim.At(burnin, func() {
-		for j := 0; j < n; j++ {
-			lTrack[j].Observe(burnin, float64(count[j]))
-		}
-	})
-	sim.RunUntil(horizon)
-
-	res := &SimResult{L: make([]float64, n), Wq: make([]float64, n), Served: served}
-	cost := 0.0
-	for j := 0; j < n; j++ {
-		res.L[j] = lTrack[j].Average(horizon)
-		cost += m.Classes[j].HoldCost * res.L[j]
-	}
-	res.CostRate = cost
-	return res, nil
+	return f.result(horizon), nil
 }
 
 // CMuOrder returns the cµ priority order for the M/M/m classes.
@@ -299,19 +221,8 @@ func (m *MMm) Replicate(ctx context.Context, p *engine.Pool, order []int, horizo
 // substream sequence — see MG1.ReplicateInto for the accumulation
 // contract the adaptive rounds rely on.
 func (m *MMm) ReplicateInto(ctx context.Context, p *engine.Pool, order []int, horizon, burnin float64, reps int, s *rng.Stream, out *ReplicatedResult) error {
-	n := len(m.Classes)
-	return engine.ReplicateReduce(ctx, p, reps, s,
-		func(_ context.Context, _ int, sub *rng.Stream) (*SimResult, error) {
-			if order == nil {
-				return m.SimulateFIFO(horizon, burnin, sub)
-			}
-			return m.Simulate(order, horizon, burnin, sub)
-		},
-		func(_ int, res *SimResult) error {
-			for j := 0; j < n; j++ {
-				out.L[j].Add(res.L[j])
-			}
-			out.CostRate.Add(res.CostRate)
-			return nil
+	return replicate(ctx, p, reps, s, out.L, nil, &out.CostRate,
+		func(ctx context.Context, sub *rng.Stream) (*SimResult, error) {
+			return m.simulate(ctx, order, horizon, burnin, sub)
 		})
 }

@@ -1,11 +1,12 @@
 package queueing
 
 import (
+	"context"
 	"fmt"
 	"math"
 
-	"stochsched/internal/des"
 	"stochsched/internal/dist"
+	"stochsched/internal/engine"
 	"stochsched/internal/linalg"
 	"stochsched/internal/rng"
 	"stochsched/internal/stats"
@@ -157,39 +158,48 @@ type NetworkPolicy struct {
 // job count is recorded at that interval over the whole run (including
 // burn-in), which is the stability diagnostic.
 func (nw *Network) Simulate(pol *NetworkPolicy, horizon, burnin, sampleEvery float64, s *rng.Stream) (*NetworkResult, error) {
-	if err := nw.Validate(); err != nil {
+	res, trajectory, err := nw.simulate(context.Background(), pol, horizon, burnin, sampleEvery, s)
+	if err != nil {
 		return nil, err
 	}
-	if horizon <= burnin || burnin < 0 {
-		return nil, fmt.Errorf("queueing: need 0 <= burnin < horizon")
+	return &NetworkResult{L: res.L, CostRate: res.CostRate, Trajectory: trajectory}, nil
+}
+
+func (nw *Network) simulate(ctx context.Context, pol *NetworkPolicy, horizon, burnin, sampleEvery float64, s *rng.Stream) (*SimResult, []float64, error) {
+	if err := nw.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if err := checkWindow(horizon, burnin); err != nil {
+		return nil, nil, err
 	}
 	if len(pol.StationOrder) != nw.Stations {
-		return nil, fmt.Errorf("queueing: policy covers %d stations, want %d", len(pol.StationOrder), nw.Stations)
+		return nil, nil, fmt.Errorf("queueing: policy covers %d stations, want %d", len(pol.StationOrder), nw.Stations)
 	}
 	n := len(nw.Classes)
 	rank := make([]int, n)
 	for i := range rank {
-		rank[i] = math.MaxInt32
+		rank[i] = math.MaxInt32 // classes the policy omits are served last
 	}
 	for st := range pol.StationOrder {
 		for r, cls := range pol.StationOrder[st] {
 			if cls < 0 || cls >= n || nw.Classes[cls].Station != st {
-				return nil, fmt.Errorf("queueing: station %d order contains foreign class %d", st, cls)
+				return nil, nil, fmt.Errorf("queueing: station %d order contains foreign class %d", st, cls)
 			}
 			rank[cls] = r
 		}
 	}
-
-	sim := des.New()
-	arrStreams := make([]*rng.Stream, n)
-	svcStreams := make([]*rng.Stream, n)
-	routeStream := s.Split()
-	for j := 0; j < n; j++ {
-		arrStreams[j] = s.Split()
-		svcStreams[j] = s.Split()
+	classes := make([]Class, n)
+	at := make([]int, n)
+	for i, c := range nw.Classes {
+		classes[i] = Class{Name: c.Name, ArrivalRate: c.ArrivalRate, Service: c.Service, HoldCost: c.HoldCost}
+		at[i] = c.Station
 	}
-	// nextClass resolves routing for a completed job of class cls.
-	nextClass := func(cls int) int {
+
+	routeStream := s.Split()
+	f := newFrame(ctx, classes, burnin, s)
+	d := f.stations(nw.Stations, 1)
+	d.at, d.rank = at, rank
+	d.route = func(cls int) int {
 		c := &nw.Classes[cls]
 		if len(c.Routes) == 0 {
 			return c.Next
@@ -205,91 +215,54 @@ func (nw *Network) Simulate(pol *NetworkPolicy, horizon, burnin, sampleEvery flo
 		return -1 // deficit: exit
 	}
 
-	waiting := make([][]job, nw.Stations)
-	busy := make([]bool, nw.Stations)
-	count := make([]int, n)
-	totalJobs := 0
-	lTrack := make([]stats.TimeWeighted, n)
 	var trajectory []float64
-
-	observe := func(j int) {
-		if sim.Now() >= burnin {
-			lTrack[j].Observe(sim.Now(), float64(count[j]))
-		}
-	}
-
-	var enqueue func(cls int)
-	var startService func(st int)
-	startService = func(st int) {
-		if busy[st] || len(waiting[st]) == 0 {
-			return
-		}
-		best, bestRank := -1, math.MaxInt32
-		for i, jb := range waiting[st] {
-			if rank[jb.class] < bestRank {
-				best, bestRank = i, rank[jb.class]
-			}
-		}
-		jb := waiting[st][best]
-		waiting[st] = append(waiting[st][:best], waiting[st][best+1:]...)
-		busy[st] = true
-		dur := nw.Classes[jb.class].Service.Sample(svcStreams[jb.class])
-		sim.Schedule(dur, func() {
-			busy[st] = false
-			count[jb.class]--
-			observe(jb.class)
-			next := nextClass(jb.class)
-			if next == -1 {
-				totalJobs--
-			} else {
-				enqueue(next)
-			}
-			startService(st)
-		})
-	}
-	enqueue = func(cls int) {
-		count[cls]++
-		observe(cls)
-		st := nw.Classes[cls].Station
-		waiting[st] = append(waiting[st], job{class: cls, arrival: sim.Now()})
-		startService(st)
-	}
-
-	var arrive func(cls int)
-	arrive = func(cls int) {
-		totalJobs++
-		enqueue(cls)
-		sim.Schedule(arrStreams[cls].Exp(nw.Classes[cls].ArrivalRate), func() { arrive(cls) })
-	}
-	for j := 0; j < n; j++ {
-		if nw.Classes[j].ArrivalRate > 0 {
-			j := j
-			sim.Schedule(arrStreams[j].Exp(nw.Classes[j].ArrivalRate), func() { arrive(j) })
-		}
-	}
-	sim.At(burnin, func() {
-		for j := 0; j < n; j++ {
-			lTrack[j].Observe(burnin, float64(count[j]))
-		}
-	})
+	var start func()
 	if sampleEvery > 0 {
 		var sample func()
 		sample = func() {
-			trajectory = append(trajectory, float64(totalJobs))
-			if sim.Now()+sampleEvery <= horizon {
-				sim.Schedule(sampleEvery, sample)
+			total := 0
+			for _, c := range f.count {
+				total += c
+			}
+			trajectory = append(trajectory, float64(total))
+			if f.sim.Now()+sampleEvery <= horizon {
+				f.sim.Schedule(sampleEvery, sample)
 			}
 		}
-		sim.At(0, sample)
+		start = func() { f.sim.At(0, sample) }
 	}
-	sim.RunUntil(horizon)
+	if err := f.run(horizon, start); err != nil {
+		return nil, nil, err
+	}
+	return f.result(horizon), trajectory, nil
+}
 
-	res := &NetworkResult{L: make([]float64, n), Trajectory: trajectory}
-	for j := 0; j < n; j++ {
-		res.L[j] = lTrack[j].Average(horizon)
-		res.CostRate += nw.Classes[j].HoldCost * res.L[j]
+// ReplicatedNetworkResult carries the replication statistics of
+// Network.Simulate: per-class time-average numbers in system and the
+// holding-cost rate.
+type ReplicatedNetworkResult struct {
+	L        []stats.Running
+	CostRate stats.Running
+}
+
+// Replicate aggregates independent replications of Simulate on the pool
+// (trajectory sampling disabled — sampleEvery 0).
+func (nw *Network) Replicate(ctx context.Context, p *engine.Pool, pol *NetworkPolicy, horizon, burnin float64, reps int, s *rng.Stream) (*ReplicatedNetworkResult, error) {
+	out := &ReplicatedNetworkResult{L: make([]stats.Running, len(nw.Classes))}
+	if err := nw.ReplicateInto(ctx, p, pol, horizon, burnin, reps, s, out); err != nil {
+		return nil, err
 	}
-	return res, nil
+	return out, nil
+}
+
+// ReplicateInto folds reps further replications into out, continuing s's
+// substream sequence.
+func (nw *Network) ReplicateInto(ctx context.Context, p *engine.Pool, pol *NetworkPolicy, horizon, burnin float64, reps int, s *rng.Stream, out *ReplicatedNetworkResult) error {
+	return replicate(ctx, p, reps, s, out.L, nil, &out.CostRate,
+		func(ctx context.Context, sub *rng.Stream) (*SimResult, error) {
+			res, _, err := nw.simulate(ctx, pol, horizon, burnin, 0, sub)
+			return res, err
+		})
 }
 
 // LuKumar builds the classical two-station, four-class reentrant network:

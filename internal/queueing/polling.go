@@ -1,10 +1,11 @@
 package queueing
 
 import (
+	"context"
 	"fmt"
 
-	"stochsched/internal/des"
 	"stochsched/internal/dist"
+	"stochsched/internal/engine"
 	"stochsched/internal/rng"
 	"stochsched/internal/stats"
 )
@@ -82,61 +83,41 @@ func (p *Polling) Validate() error {
 // Simulate runs the polling system and returns per-queue mean delay and
 // counts over [burnin, horizon].
 func (p *Polling) Simulate(horizon, burnin float64, s *rng.Stream) (*SimResult, error) {
+	return p.simulate(context.Background(), horizon, burnin, s)
+}
+
+// simulate runs one replication. The switchover stream is split off s
+// first, then the class streams; arrivals only join their queue, and the
+// server's visit cycle, started at time 0, does all the serving.
+func (p *Polling) simulate(ctx context.Context, horizon, burnin float64, s *rng.Stream) (*SimResult, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if horizon <= burnin || burnin < 0 {
-		return nil, fmt.Errorf("queueing: need 0 <= burnin < horizon")
+	if err := checkWindow(horizon, burnin); err != nil {
+		return nil, err
 	}
 	n := len(p.Queues)
-	sim := des.New()
-	arrStreams := make([]*rng.Stream, n)
-	svcStreams := make([]*rng.Stream, n)
 	swStream := s.Split()
-	for j := 0; j < n; j++ {
-		arrStreams[j] = s.Split()
-		svcStreams[j] = s.Split()
-	}
-
+	f := newFrame(ctx, p.Queues, burnin, s)
+	f.waits = true
 	queues := make([][]job, n)
-	count := make([]int, n)
-	lTrack := make([]stats.TimeWeighted, n)
-	wqSum := make([]float64, n)
-	wqN := make([]int64, n)
-	served := make([]int64, n)
-	at := 0 // queue the server is at
-	gate := 0
-
-	observe := func(j int) {
-		if sim.Now() >= burnin {
-			lTrack[j].Observe(sim.Now(), float64(count[j]))
-		}
+	f.enter = func(j int) {
+		queues[j] = append(queues[j], job{class: j, arrival: f.sim.Now()})
 	}
+	at := 0   // queue the server is at
+	gate := 0 // jobs left to serve this visit (gated, limited)
 
 	var visit func(first bool)
-	serveOne := func() {
-		jb := queues[at][0]
-		queues[at] = queues[at][1:]
-		if sim.Now() >= burnin {
-			wqSum[at] += sim.Now() - jb.arrival
-			wqN[at]++
-		}
-		dur := p.Queues[at].Service.Sample(svcStreams[at])
-		sim.Schedule(dur, func() {
-			count[at]--
-			observe(at)
-			if sim.Now() >= burnin {
-				served[at]++
-			}
-			gate--
-			visit(false)
-		})
+	completion := func() {
+		f.check()
+		f.depart(at)
+		gate--
+		visit(false)
 	}
-	moveOn := func() {
-		sim.Schedule(p.Switch.Sample(swStream), func() {
-			at = (at + 1) % n
-			visit(true)
-		})
+	switchover := func() {
+		f.check()
+		at = (at + 1) % n
+		visit(true)
 	}
 	visit = func(first bool) {
 		if first {
@@ -145,51 +126,40 @@ func (p *Polling) Simulate(horizon, burnin float64, s *rng.Stream) (*SimResult, 
 				gate = len(queues[at])
 			case Limited1:
 				gate = 1
-			default:
-				gate = -1 // exhaustive: no gate
 			}
 		}
-		more := len(queues[at]) > 0 && (gate != 0 || p.Regime == Exhaustive)
-		if p.Regime != Exhaustive && gate == 0 {
-			more = false
+		if len(queues[at]) == 0 || (p.Regime != Exhaustive && gate == 0) {
+			f.sim.Schedule(p.Switch.Sample(swStream), switchover)
+			return
 		}
-		if more {
-			serveOne()
-		} else {
-			moveOn()
-		}
+		jb := queues[at][0]
+		queues[at] = queues[at][1:]
+		f.startService(jb)
+		f.sim.Schedule(p.Queues[at].Service.Sample(f.svc[at]), completion)
 	}
+	if err := f.run(horizon, func() { f.sim.At(0, func() { visit(true) }) }); err != nil {
+		return nil, err
+	}
+	return f.result(horizon), nil
+}
 
-	var arrive func(j int)
-	arrive = func(j int) {
-		count[j]++
-		observe(j)
-		queues[j] = append(queues[j], job{class: j, arrival: sim.Now()})
-		sim.Schedule(arrStreams[j].Exp(p.Queues[j].ArrivalRate), func() { arrive(j) })
+// Replicate aggregates independent replications of Simulate on the pool,
+// reusing ReplicatedResult (the polling per-replication result has the
+// same shape as the M/G/1 one).
+func (p *Polling) Replicate(ctx context.Context, pool *engine.Pool, horizon, burnin float64, reps int, s *rng.Stream) (*ReplicatedResult, error) {
+	n := len(p.Queues)
+	out := &ReplicatedResult{L: make([]stats.Running, n), Wq: make([]stats.Running, n)}
+	if err := p.ReplicateInto(ctx, pool, horizon, burnin, reps, s, out); err != nil {
+		return nil, err
 	}
-	for j := 0; j < n; j++ {
-		if p.Queues[j].ArrivalRate > 0 {
-			j := j
-			sim.Schedule(arrStreams[j].Exp(p.Queues[j].ArrivalRate), func() { arrive(j) })
-		}
-	}
-	sim.At(burnin, func() {
-		for j := 0; j < n; j++ {
-			lTrack[j].Observe(burnin, float64(count[j]))
-		}
-	})
-	sim.At(0, func() { visit(true) })
-	sim.RunUntil(horizon)
+	return out, nil
+}
 
-	res := &SimResult{L: make([]float64, n), Wq: make([]float64, n), Served: served}
-	cost := 0.0
-	for j := 0; j < n; j++ {
-		res.L[j] = lTrack[j].Average(horizon)
-		if wqN[j] > 0 {
-			res.Wq[j] = wqSum[j] / float64(wqN[j])
-		}
-		cost += p.Queues[j].HoldCost * res.L[j]
-	}
-	res.CostRate = cost
-	return res, nil
+// ReplicateInto folds reps further replications into out, continuing s's
+// substream sequence.
+func (p *Polling) ReplicateInto(ctx context.Context, pool *engine.Pool, horizon, burnin float64, reps int, s *rng.Stream, out *ReplicatedResult) error {
+	return replicate(ctx, pool, reps, s, out.L, out.Wq, &out.CostRate,
+		func(ctx context.Context, sub *rng.Stream) (*SimResult, error) {
+			return p.simulate(ctx, horizon, burnin, sub)
+		})
 }

@@ -5,18 +5,11 @@ import (
 	"fmt"
 	"math"
 
-	"stochsched/internal/des"
 	"stochsched/internal/dist"
 	"stochsched/internal/engine"
 	"stochsched/internal/rng"
 	"stochsched/internal/stats"
 )
-
-// job is one customer in the system.
-type job struct {
-	class   int
-	arrival float64
-}
 
 // Discipline selects which waiting job to serve next at a service-start
 // epoch. waiting holds jobs in arrival order; the discipline returns an
@@ -115,91 +108,37 @@ type SimResult struct {
 // Simulate runs the multiclass M/G/1 under the given nonpreemptive
 // discipline on [0, horizon], collecting statistics on [burnin, horizon].
 func (m *MG1) Simulate(d Discipline, horizon, burnin float64, s *rng.Stream) (*SimResult, error) {
+	return m.simulate(context.Background(), d, horizon, burnin, s)
+}
+
+func (m *MG1) simulate(ctx context.Context, d Discipline, horizon, burnin float64, s *rng.Stream) (*SimResult, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	if horizon <= burnin || burnin < 0 {
-		return nil, fmt.Errorf("queueing: need 0 <= burnin < horizon")
+	if err := checkWindow(horizon, burnin); err != nil {
+		return nil, err
 	}
-	n := len(m.Classes)
-	sim := des.New()
-	arrStreams := make([]*rng.Stream, n)
-	svcStreams := make([]*rng.Stream, n)
-	for j := 0; j < n; j++ {
-		arrStreams[j] = s.Split()
-		svcStreams[j] = s.Split()
+	f := newFrame(ctx, m.Classes, burnin, s)
+	f.waits = true
+	st := f.stations(1, 1)
+	st.rank, st.disc = disciplineRanks(d, len(m.Classes)), d
+	if err := f.run(horizon, nil); err != nil {
+		return nil, err
 	}
+	return f.result(horizon), nil
+}
 
-	var waiting []job
-	inService := false
-	count := make([]int, n) // jobs in system per class
-	lTrack := make([]stats.TimeWeighted, n)
-	wqSum := make([]float64, n)
-	wqN := make([]int64, n)
-	served := make([]int64, n)
-
-	observe := func(j int) {
-		if sim.Now() >= burnin {
-			lTrack[j].Observe(sim.Now(), float64(count[j]))
-		}
+// disciplineRanks returns the class rank table a discipline serves by —
+// every class equal under FIFO, StaticPriority's order ranked once — or
+// nil for disciplines the dispatcher must ask at every service start.
+func disciplineRanks(d Discipline, n int) []int {
+	switch d := d.(type) {
+	case FIFO:
+		return make([]int, n)
+	case StaticPriority:
+		return ranks(d.Order, n)
 	}
-
-	var startService func()
-	startService = func() {
-		if inService || len(waiting) == 0 {
-			return
-		}
-		idx := d.Next(waiting)
-		jb := waiting[idx]
-		waiting = append(waiting[:idx], waiting[idx+1:]...)
-		inService = true
-		if sim.Now() >= burnin {
-			wqSum[jb.class] += sim.Now() - jb.arrival
-			wqN[jb.class]++
-		}
-		dur := m.Classes[jb.class].Service.Sample(svcStreams[jb.class])
-		sim.Schedule(dur, func() {
-			inService = false
-			count[jb.class]--
-			observe(jb.class)
-			if sim.Now() >= burnin {
-				served[jb.class]++
-			}
-			startService()
-		})
-	}
-
-	var arrive func(j int)
-	arrive = func(j int) {
-		count[j]++
-		observe(j)
-		waiting = append(waiting, job{class: j, arrival: sim.Now()})
-		startService()
-		sim.Schedule(arrStreams[j].Exp(m.Classes[j].ArrivalRate), func() { arrive(j) })
-	}
-	for j := 0; j < n; j++ {
-		if m.Classes[j].ArrivalRate > 0 {
-			j := j
-			sim.Schedule(arrStreams[j].Exp(m.Classes[j].ArrivalRate), func() { arrive(j) })
-		}
-	}
-	// Snapshot the state at burnin so time averages start correctly.
-	sim.At(burnin, func() {
-		for j := 0; j < n; j++ {
-			lTrack[j].Observe(burnin, float64(count[j]))
-		}
-	})
-	sim.RunUntil(horizon)
-
-	res := &SimResult{L: make([]float64, n), Wq: make([]float64, n), Served: served}
-	for j := 0; j < n; j++ {
-		res.L[j] = lTrack[j].Average(horizon)
-		if wqN[j] > 0 {
-			res.Wq[j] = wqSum[j] / float64(wqN[j])
-		}
-	}
-	res.CostRate = m.HoldingCostRate(res.L)
-	return res, nil
+	return nil
 }
 
 // Replicate runs reps independent replications and returns per-class L and
@@ -229,22 +168,13 @@ func (m *MG1) Replicate(ctx context.Context, p *engine.Pool, d Discipline, horiz
 // exactly as one Replicate call with the summed count would — the
 // property the adaptive (target-precision) rounds are built on.
 func (m *MG1) ReplicateInto(ctx context.Context, p *engine.Pool, d Discipline, horizon, burnin float64, reps int, s *rng.Stream, out *ReplicatedResult) error {
-	n := len(m.Classes)
-	return engine.ReplicateReduce(ctx, p, reps, s,
-		func(_ context.Context, _ int, sub *rng.Stream) (*SimResult, error) {
+	return replicate(ctx, p, reps, s, out.L, out.Wq, &out.CostRate,
+		func(ctx context.Context, sub *rng.Stream) (*SimResult, error) {
 			rep := d
 			if sd, ok := d.(StreamDiscipline); ok {
 				rep = sd.WithStream(sub.Split())
 			}
-			return m.Simulate(rep, horizon, burnin, sub)
-		},
-		func(_ int, res *SimResult) error {
-			for j := 0; j < n; j++ {
-				out.L[j].Add(res.L[j])
-				out.Wq[j].Add(res.Wq[j])
-			}
-			out.CostRate.Add(res.CostRate)
-			return nil
+			return m.simulate(ctx, rep, horizon, burnin, sub)
 		})
 }
 
@@ -261,96 +191,14 @@ func (m *MG1) SimulatePreemptive(order []int, horizon, burnin float64, s *rng.St
 			return nil, fmt.Errorf("queueing: preemptive simulator requires exponential services (class %d is %v)", j, c.Service)
 		}
 	}
-	if horizon <= burnin || burnin < 0 {
-		return nil, fmt.Errorf("queueing: need 0 <= burnin < horizon")
+	if err := checkWindow(horizon, burnin); err != nil {
+		return nil, err
 	}
-	n := len(m.Classes)
-	rank := make([]int, n)
-	for r, cls := range order {
-		rank[cls] = r
+	f := newFrame(context.Background(), m.Classes, burnin, s)
+	st := f.stations(1, 1)
+	st.rank, st.preempt = ranks(order, len(m.Classes)), true
+	if err := f.run(horizon, nil); err != nil {
+		return nil, err
 	}
-	sim := des.New()
-	arrStreams := make([]*rng.Stream, n)
-	svcStreams := make([]*rng.Stream, n)
-	for j := 0; j < n; j++ {
-		arrStreams[j] = s.Split()
-		svcStreams[j] = s.Split()
-	}
-
-	var waiting []job
-	var current *job
-	var completion *des.Handle
-	count := make([]int, n)
-	lTrack := make([]stats.TimeWeighted, n)
-	served := make([]int64, n)
-
-	observe := func(j int) {
-		if sim.Now() >= burnin {
-			lTrack[j].Observe(sim.Now(), float64(count[j]))
-		}
-	}
-
-	var dispatch func()
-	dispatch = func() {
-		if current != nil || len(waiting) == 0 {
-			return
-		}
-		// Highest-priority waiting job (oldest within class).
-		best, bestRank := -1, math.MaxInt32
-		for i, jb := range waiting {
-			if rank[jb.class] < bestRank {
-				best, bestRank = i, rank[jb.class]
-			}
-		}
-		jb := waiting[best]
-		waiting = append(waiting[:best], waiting[best+1:]...)
-		current = &jb
-		dur := m.Classes[jb.class].Service.Sample(svcStreams[jb.class])
-		completion = sim.Schedule(dur, func() {
-			count[jb.class]--
-			observe(jb.class)
-			if sim.Now() >= burnin {
-				served[jb.class]++
-			}
-			current = nil
-			completion = nil
-			dispatch()
-		})
-	}
-
-	var arrive func(j int)
-	arrive = func(j int) {
-		count[j]++
-		observe(j)
-		waiting = append(waiting, job{class: j, arrival: sim.Now()})
-		if current != nil && rank[j] < rank[current.class] {
-			// Preempt: return the job in service to the queue (memoryless
-			// services make resampling on resumption exact).
-			completion.Cancel()
-			waiting = append(waiting, *current)
-			current = nil
-			completion = nil
-		}
-		dispatch()
-		sim.Schedule(arrStreams[j].Exp(m.Classes[j].ArrivalRate), func() { arrive(j) })
-	}
-	for j := 0; j < n; j++ {
-		if m.Classes[j].ArrivalRate > 0 {
-			j := j
-			sim.Schedule(arrStreams[j].Exp(m.Classes[j].ArrivalRate), func() { arrive(j) })
-		}
-	}
-	sim.At(burnin, func() {
-		for j := 0; j < n; j++ {
-			lTrack[j].Observe(burnin, float64(count[j]))
-		}
-	})
-	sim.RunUntil(horizon)
-
-	res := &SimResult{L: make([]float64, n), Wq: make([]float64, n), Served: served}
-	for j := 0; j < n; j++ {
-		res.L[j] = lTrack[j].Average(horizon)
-	}
-	res.CostRate = m.HoldingCostRate(res.L)
-	return res, nil
+	return f.result(horizon), nil
 }

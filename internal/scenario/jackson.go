@@ -50,7 +50,16 @@ func (jacksonScenario) ParsePayload(raw json.RawMessage) (any, error) {
 }
 
 func (jacksonScenario) ReplicationWork(payload any) float64 {
-	return payload.(*JacksonSim).Horizon
+	p := payload.(*JacksonSim)
+	nw, err := spec.NetworkModel(&p.Spec)
+	if err != nil {
+		return 0
+	}
+	lam, err := nw.EffectiveRates()
+	if err != nil {
+		return 0
+	}
+	return eventWork(p.Horizon, lam, 0)
 }
 
 func (s jacksonScenario) Validate(payload any) error {

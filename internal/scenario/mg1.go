@@ -46,7 +46,19 @@ func (mg1Scenario) ParsePayload(raw json.RawMessage) (any, error) {
 }
 
 func (mg1Scenario) ReplicationWork(payload any) float64 {
-	return payload.(*MG1Sim).Horizon
+	p := payload.(*MG1Sim)
+	if !p.Spec.HasFeedback() {
+		return eventWork(p.Horizon, classRates(p.Spec.Classes), 0)
+	}
+	k, err := spec.KlimovModel(&p.Spec)
+	if err != nil {
+		return 0
+	}
+	lam, err := k.EffectiveArrivalRates()
+	if err != nil {
+		return 0
+	}
+	return eventWork(p.Horizon, lam, 0)
 }
 
 func (s mg1Scenario) Validate(payload any) error {

@@ -45,7 +45,8 @@ func (mmmScenario) ParsePayload(raw json.RawMessage) (any, error) {
 }
 
 func (mmmScenario) ReplicationWork(payload any) float64 {
-	return payload.(*MMmSim).Horizon
+	p := payload.(*MMmSim)
+	return eventWork(p.Horizon, classRates(p.Spec.Classes), 0)
 }
 
 func (s mmmScenario) Validate(payload any) error {

@@ -45,7 +45,12 @@ func (pollingScenario) ParsePayload(raw json.RawMessage) (any, error) {
 }
 
 func (pollingScenario) ReplicationWork(payload any) float64 {
-	return payload.(*PollingSim).Horizon
+	p := payload.(*PollingSim)
+	sw, err := spec.DistLaw(&p.Spec.Switch)
+	if err != nil || !(sw.Mean() > 0) {
+		return 0
+	}
+	return eventWork(p.Horizon, classRates(p.Spec.Queues), 1/sw.Mean())
 }
 
 func (s pollingScenario) Validate(payload any) error {

@@ -36,6 +36,7 @@ import (
 	"stochsched/internal/engine"
 	"stochsched/internal/rng"
 	"stochsched/internal/stats"
+	"stochsched/pkg/api"
 )
 
 // Scenario is one pluggable simulate kind. Implementations are stateless
@@ -126,6 +127,30 @@ func (o SimOpts) stream(seed uint64) *rng.Stream {
 // mirroring cannot pair meaningfully.
 func errAntithetic(kind, why string) error {
 	return BadSpec{fmt.Errorf("kind %s does not support antithetic replications: %s", kind, why)}
+}
+
+// eventWork is the work estimate of one queueing (DES) replication: the
+// events it fires over the horizon — an arrival and a service completion
+// per job at the effective class rates, plus perTime further events per
+// unit time (polling's switchovers). Kinds charge a spec whose rates
+// cannot be derived nothing: rejecting it is Validate's job, not the
+// budget's.
+func eventWork(horizon float64, rates []float64, perTime float64) float64 {
+	w := perTime
+	for _, r := range rates {
+		w += 2 * r
+	}
+	return horizon * w
+}
+
+// classRates returns the external arrival rates of a class list — the
+// effective rates of a system without routing.
+func classRates(classes []api.Class) []float64 {
+	rates := make([]float64, len(classes))
+	for i, c := range classes {
+		rates[i] = c.Rate
+	}
+	return rates
 }
 
 // runReplications is the shared replication driver every Simulate

@@ -138,20 +138,39 @@ func TestHashExcludesParallel(t *testing.T) {
 	}
 }
 
+// TestReplicationWorkPerKind: the DES kinds charge their event count,
+// horizon × (2·Σ effective arrival rates + 1/E[switchover] for polling);
+// the others charge their own scale.
 func TestReplicationWorkPerKind(t *testing.T) {
+	classes := []spec.Class{
+		{Rate: 0.25, ServiceMean: 0.5, HoldCost: 1},
+		{Rate: 0.125, ServiceMean: 0.5, HoldCost: 1},
+	}
+	next := 1
+	network := spec.Network{Stations: 2, Classes: []spec.NetClass{
+		{Station: 0, Rate: 0.5, ServiceMean: 0.5, HoldCost: 1, Next: &next},
+		{Station: 1, Rate: 0.25, ServiceMean: 0.5, HoldCost: 1},
+	}}
+	feedback := [][]float64{{0, 0.5}, {0, 0}}
 	cases := []struct {
 		kind    string
 		payload any
 		want    float64
 	}{
-		{"mg1", &MG1Sim{Horizon: 250}, 250},
-		{"mmm", &MMmSim{Horizon: 400}, 400},
+		{"mg1", &MG1Sim{Horizon: 400, Spec: spec.MG1{Classes: classes}}, 300},
+		// Feedback: λ = (0.25, 0.125 + 0.5·0.25).
+		{"mg1", &MG1Sim{Horizon: 400, Spec: spec.MG1{Classes: classes, Feedback: feedback}}, 400},
+		{"mg1", &MG1Sim{Horizon: 400, Spec: spec.MG1{Classes: classes, Feedback: [][]float64{{1}}}}, 0}, // bad shape: Validate's problem
+		{"mmm", &MMmSim{Horizon: 400, Spec: spec.MMm{Classes: classes, Servers: 2}}, 300},
 		{"bandit", &BanditSim{Spec: banditSystem(0.5)}, 2},
 		{"bandit", &BanditSim{Spec: banditSystem(1.5)}, 0}, // invalid β: Validate's problem, not the budget's
 		{"restless", &RestlessSim{Horizon: 100, N: 7}, 700},
 		{"batch", &BatchSim{Spec: batchSpec(3)}, 3},
-		{"jackson", &JacksonSim{Horizon: 300}, 300},
-		{"polling", &PollingSim{Horizon: 250}, 250},
+		// Routing: λ = (0.5, 0.25 + 0.5).
+		{"jackson", &JacksonSim{Horizon: 300, Spec: network}, 750},
+		{"jackson", &JacksonSim{Horizon: 300}, 0},
+		{"polling", &PollingSim{Horizon: 400, Spec: spec.Polling{Queues: classes, Switch: spec.Dist{Kind: "det", Value: 0.5}}}, 1100},
+		{"polling", &PollingSim{Horizon: 400, Spec: spec.Polling{Queues: classes}}, 0},
 		{"mdp", &MDPSim{Horizon: 500}, 500},
 	}
 	for _, c := range cases {

@@ -72,6 +72,18 @@ func TestIndexRejectsBadRequests(t *testing.T) {
 // TestUnservableInputsAnswer400: inputs the solvers cannot answer are the
 // client's fault, so each ends in a 400 error envelope within a bounded
 // time — never a 500 or a computation holding an admission slot.
+// Two simulate bodies whose replications fire billions of events: a
+// polling server cycling through near-zero switchovers, and an M/G/1 at
+// arrival rate 1e7.
+const (
+	pollingSpinBody = `{"kind":"polling","polling":{"spec":{"queues":[
+		{"rate":0.4,"service_mean":0.6,"hold_cost":2},{"rate":0.3,"service_mean":1,"hold_cost":1}],
+		"switch":{"kind":"det","value":1e-9}},"policy":"exhaustive","horizon":300,"burnin":50},"seed":1,"replications":2}`
+	mg1FloodBody = `{"kind":"mg1","mg1":{"spec":{"classes":[
+		{"rate":1e7,"service_mean":2e-8,"hold_cost":1},{"rate":1e7,"service_mean":2e-8,"hold_cost":2}]},
+		"policy":"cmu","horizon":300,"burnin":50},"seed":1,"replications":2}`
+)
+
 func TestUnservableInputsAnswer400(t *testing.T) {
 	h := New(Config{}).Handler()
 	multichain := `{"actions":[{"transitions":[[1,0],[0,1]],"rewards":[1,0]}]}`
@@ -92,6 +104,10 @@ func TestUnservableInputsAnswer400(t *testing.T) {
 		{"multichain mdp index", "/v1/index", indexEnvelope("mdp", multichain)},
 		{"multichain mdp simulate", "/v1/simulate", `{"kind":"mdp","mdp":{"spec":` + multichain +
 			`,"policy":"optimal","horizon":100,"burnin":10},"seed":1,"replications":4}`},
+		// Both were once charged their horizon (work 600) and then ran for
+		// minutes: the budget counts events, horizon × 2·Σλ (+ 1/E[switch]).
+		{"polling 1e-9 switchover", "/v1/simulate", pollingSpinBody},
+		{"mg1 rates 1e7", "/v1/simulate", mg1FloodBody},
 	}...) {
 		begin := time.Now()
 		w := post(t, h, tc.path, tc.body)
@@ -106,6 +122,29 @@ func TestUnservableInputsAnswer400(t *testing.T) {
 		}
 		if elapsed > time.Second {
 			t.Errorf("%s: answered in %v, want milliseconds", tc.name, elapsed)
+		}
+	}
+}
+
+// TestComputeTimeoutEndsReplications: with the work budget off, the
+// ComputeTimeout still ends a runaway replication from inside its event
+// loop, answering the 503 unavailable envelope promptly.
+func TestComputeTimeoutEndsReplications(t *testing.T) {
+	h := New(Config{MaxSimWork: -1, ComputeTimeout: 100 * time.Millisecond}).Handler()
+	for name, body := range map[string]string{"polling": pollingSpinBody, "mg1": mg1FloodBody} {
+		begin := time.Now()
+		w := post(t, h, "/v1/simulate", body)
+		elapsed := time.Since(begin)
+		if w.Code != http.StatusServiceUnavailable {
+			t.Errorf("%s: code %d, want 503 (%s)", name, w.Code, w.Body)
+			continue
+		}
+		var env api.ErrorResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil || env.Err.Code != api.ErrCodeUnavailable {
+			t.Errorf("%s: body %q is not an unavailable envelope", name, w.Body)
+		}
+		if elapsed > 2*time.Second {
+			t.Errorf("%s: answered in %v after a 100ms compute timeout", name, elapsed)
 		}
 	}
 }

@@ -14,9 +14,11 @@
 # record runs each benchmark 3 times and writes the per-benchmark best
 # (bench2json folds repeated runs to their minimum).
 #
-# The gate re-runs each benchmark and fails when any entry regresses more
-# than BENCH_TOLERANCE_PCT (default 15) percent in ns/op or bytes/op
-# against its baseline. Each benchmark is measured BENCH_COUNT (default 6)
+# The gate re-runs each benchmark at the GOMAXPROCS its baseline was
+# recorded at (go test -cpu, read from the file's "procs" fields), so every
+# row compares like for like on any host. It fails when any entry regresses
+# more than BENCH_TOLERANCE_PCT (default 15) percent in ns/op or bytes/op
+# against its baseline, or has no baseline entry. Each benchmark is measured BENCH_COUNT (default 6)
 # times at BENCH_TIME (default 0.5s) each and folded to its best run — the
 # minimum is the least noisy estimate of the code's cost. When a suite
 # still fails, it is re-measured up to BENCH_ATTEMPTS (default 3) times
@@ -63,15 +65,22 @@ record() {
     echo "wrote $file"
 }
 
+# procs lists the GOMAXPROCS values a BENCH file was recorded at, comma
+# separated for go test -cpu.
+procs() {
+    grep -o '"procs": *[0-9]*' "$1" | grep -o '[0-9]*$' | sort -un | paste -sd, -
+}
+
 fail=0
 gate() {
     pattern="$1"
     baseline="$2"
+    cpu="$(procs "$baseline")"
     : > "$ALL"
     attempt=1
     while :; do
-        echo "== $pattern vs $baseline (tolerance ${TOL}%, best of $COUNT x $BTIME, attempt $attempt/$ATTEMPTS) =="
-        go test -run '^$' -bench "$pattern" -benchmem -count "$COUNT" -benchtime "$BTIME" . < /dev/null > "$TMP"
+        echo "== $pattern vs $baseline (procs $cpu, tolerance ${TOL}%, best of $COUNT x $BTIME, attempt $attempt/$ATTEMPTS) =="
+        go test -run '^$' -bench "$pattern" -benchmem -count "$COUNT" -benchtime "$BTIME" -cpu "$cpu" . < /dev/null > "$TMP"
         cat "$TMP" >> "$ALL"
         if go run ./cmd/bench2json -check "$baseline" -tolerance "$TOL" < "$ALL"; then
             return 0
