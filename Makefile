@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race conformance bench bench-check e2ebench-test loadgen-smoke smoke cluster-smoke docs-check fmt fmt-check vet ci
+.PHONY: build test race conformance fuzz bench bench-check e2ebench-test loadgen-smoke smoke cluster-smoke docs-check fmt fmt-check vet ci
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,16 @@ race:
 conformance:
 	$(GO) test -count=1 -run 'TestConformance|TestEveryKind|TestEveryIndexer|TestJacksonProductForm|TestMDPOptimalGain|TestRestlessLPBound' \
 		./internal/scenario/... ./internal/service/...
+
+# Native Go fuzzing of the two request decoders, each for a fixed 20s,
+# seeded from the scenariotest bodies and the parse-contract table: any
+# body must parse, hash and shape-check without panicking, and an accepted
+# body must keep its hash through a re-encoding of its wire type. A
+# crasher lands in internal/scenario/testdata/fuzz/ and fails `make test`
+# until fixed.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime 20s ./internal/scenario
+	$(GO) test -run '^$$' -fuzz '^FuzzParseIndexRequest$$' -fuzztime 20s ./internal/scenario
 
 # The benchmark table in scripts/bench_delta.sh pairs each benchmark
 # pattern with the BENCH_*.json file recording it. `make bench` re-records
@@ -80,4 +90,4 @@ vet:
 	$(GO) vet ./...
 
 # The CI entry point: identical to what .github/workflows/ci.yml runs.
-ci: build vet fmt-check test race conformance e2ebench-test smoke cluster-smoke docs-check bench-check loadgen-smoke
+ci: build vet fmt-check test race conformance fuzz e2ebench-test smoke cluster-smoke docs-check bench-check loadgen-smoke

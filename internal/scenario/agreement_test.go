@@ -7,6 +7,7 @@ package scenario
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -25,18 +26,21 @@ const jacksonTandem = `{"stations":2,"classes":[
 	{"station":1,"service":{"kind":"exp","rate":2.5},"hold_cost":1}
 ]}`
 
+// computeIndex parses the kind's index payload through the /v1/index
+// envelope and computes its response.
+func computeIndex(kind, payload string) (any, error) {
+	req, err := ParseIndexRequest([]byte(fmt.Sprintf(`{"kind":%q,%q:%s}`, kind, kind, payload)))
+	if err != nil {
+		return nil, err
+	}
+	return req.Compute()
+}
+
 func TestJacksonProductFormMatchesSimulation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long simulation")
 	}
-	sc, _ := Lookup("jackson")
-	idx := sc.(Indexer)
-
-	payload, err := idx.ParseIndexPayload([]byte(jacksonTandem))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := idx.ComputeIndex(payload, idx.IndexHash(payload))
+	v, err := computeIndex("jackson", jacksonTandem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +53,7 @@ func TestJacksonProductFormMatchesSimulation(t *testing.T) {
 	}
 
 	var nw spec.Network
-	if err := decodeStrictPayload([]byte(jacksonTandem), &nw); err != nil {
+	if err := spec.DecodeStrict([]byte(jacksonTandem), &nw); err != nil {
 		t.Fatal(err)
 	}
 	model, err := spec.NetworkModel(&nw)
@@ -75,18 +79,11 @@ func TestMDPOptimalGainMatchesSimulation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long simulation")
 	}
-	sc, _ := Lookup("mdp")
-	idx := sc.(Indexer)
-
 	mdpSpec := `{"actions":[
 		{"transitions":[[0.9,0.1],[0.6,0.4]],"rewards":[1,0]},
 		{"transitions":[[0.2,0.8],[0.3,0.7]],"rewards":[2,-1]}
 	]}`
-	payload, err := idx.ParseIndexPayload([]byte(mdpSpec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := idx.ComputeIndex(payload, idx.IndexHash(payload))
+	v, err := computeIndex("mdp", mdpSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,18 +119,11 @@ func TestRestlessLPBoundDominatesSimulation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long simulation")
 	}
-	sc, _ := Lookup("restless")
-	idx := sc.(Indexer)
-
 	spec := `{"beta":0.9,
 		"passive":{"transitions":[[0.7,0.3,0],[0,0.7,0.3],[0,0,1]],"rewards":[1,0.6,0.1]},
 		"active":{"transitions":[[1,0,0],[1,0,0],[1,0,0]],"rewards":[-0.5,-0.5,-0.5]},
 		"n":10,"m":3}`
-	payload, err := idx.ParseIndexPayload([]byte(spec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := idx.ComputeIndex(payload, idx.IndexHash(payload))
+	v, err := computeIndex("restless", spec)
 	if err != nil {
 		t.Fatal(err)
 	}

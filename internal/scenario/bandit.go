@@ -42,20 +42,17 @@ func banditPolicy(p *BanditSim) string {
 	return p.Policy
 }
 
-func (banditScenario) ParsePayload(raw json.RawMessage) (any, error) {
-	var p BanditSim
-	if err := decodeStrictPayload(raw, &p); err != nil {
-		return nil, err
-	}
+func (banditScenario) CheckPayload(payload any) error {
+	p := payload.(*BanditSim)
 	if len(p.Start) != len(p.Spec.Projects) {
-		return nil, fmt.Errorf("start has %d states for %d projects", len(p.Start), len(p.Spec.Projects))
+		return fmt.Errorf("start has %d states for %d projects", len(p.Start), len(p.Spec.Projects))
 	}
 	for i, st := range p.Start {
 		if st < 0 || st >= len(p.Spec.Projects[i].Rewards) {
-			return nil, fmt.Errorf("start state %d of project %d out of range", st, i)
+			return fmt.Errorf("start state %d of project %d out of range", st, i)
 		}
 	}
-	return &p, nil
+	return nil
 }
 
 func (banditScenario) ReplicationWork(payload any) float64 {
@@ -152,14 +149,6 @@ func (banditScenario) Outcome(policy string, resp []byte) (Outcome, error) {
 // Indexer capability: Gittins indices of one project.
 
 func (banditScenario) IndexFamily() string { return "gittins" }
-
-func (banditScenario) ParseIndexPayload(raw json.RawMessage) (any, error) {
-	var b api.Bandit
-	if err := decodeStrictPayload(raw, &b); err != nil {
-		return nil, err
-	}
-	return &b, nil
-}
 
 // IndexHash hashes the bare project spec — exactly the body of the retired
 // /v1/gittins route, so goldens and cache keys are preserved.

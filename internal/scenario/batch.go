@@ -46,13 +46,7 @@ func batchObjective(p *BatchSim) string {
 	return p.Objective
 }
 
-func (batchScenario) ParsePayload(raw json.RawMessage) (any, error) {
-	var p BatchSim
-	if err := decodeStrictPayload(raw, &p); err != nil {
-		return nil, err
-	}
-	return &p, nil
-}
+func (batchScenario) CheckPayload(any) error { return nil }
 
 func (batchScenario) ReplicationWork(payload any) float64 {
 	// One replication dispatches every job once.
@@ -186,14 +180,6 @@ func (batchScenario) Outcome(policy string, resp []byte) (Outcome, error) {
 // Indexer capability: WSEPT/SEPT/LEPT orders with Smith ratios.
 
 func (batchScenario) IndexFamily() string { return "priority" }
-
-func (batchScenario) ParseIndexPayload(raw json.RawMessage) (any, error) {
-	var b api.Batch
-	if err := decodeStrictPayload(raw, &b); err != nil {
-		return nil, err
-	}
-	return &b, nil
-}
 
 // IndexHash hashes the {"kind":"batch","batch":…} priority envelope —
 // exactly the body of the retired /v1/priority route, so goldens and cache

@@ -36,15 +36,12 @@ type flowshopScenario struct{}
 
 func (flowshopScenario) Kind() string { return "flowshop" }
 
-func (flowshopScenario) ParsePayload(raw json.RawMessage) (any, error) {
-	var p FlowShopSim
-	if err := decodeStrictPayload(raw, &p); err != nil {
-		return nil, err
-	}
+func (flowshopScenario) CheckPayload(payload any) error {
+	p := payload.(*FlowShopSim)
 	if p.Spec.Variant() == "" {
-		return nil, fmt.Errorf("flowshop spec needs exactly one of jobs, tree, sevcik")
+		return fmt.Errorf("flowshop spec needs exactly one of jobs, tree, sevcik")
 	}
-	return &p, nil
+	return nil
 }
 
 func (flowshopScenario) ReplicationWork(payload any) float64 {

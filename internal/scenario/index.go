@@ -1,10 +1,12 @@
 package scenario
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
+
+	"stochsched/internal/spec"
+	"stochsched/pkg/api"
 )
 
 // Indexer is the optional analytic capability of a Scenario: closed-form
@@ -15,18 +17,15 @@ import (
 //
 // Unlike Simulate, index computation takes no seed, replications, or pool:
 // it is deterministic linear algebra, so the result is a pure function of
-// the payload alone.
+// the payload alone. The payload is the kind's field of api.IndexRequest,
+// whose shape is index-specific — e.g. the bandit kind simulates a
+// BanditSim but indexes a bare Bandit project.
 type Indexer interface {
 	// IndexFamily returns the index family this kind belongs to —
 	// "gittins", "whittle", "priority", or the kind's own name. It
 	// prefixes the cache key, so its value is part of the key format that
 	// ring ownership and state snapshots depend on.
 	IndexFamily() string
-
-	// ParseIndexPayload strictly decodes the kind's index payload (unknown
-	// fields are errors). The payload shape is index-specific — e.g. the
-	// bandit kind simulates a BanditSim but indexes a bare Bandit project.
-	ParseIndexPayload(raw json.RawMessage) (any, error)
 
 	// IndexHash returns the canonical spec hash of a parsed payload — the
 	// memoization key suffix and the spec_hash echoed in the response. The
@@ -83,31 +82,24 @@ func lookupIndexer(kind string) (Scenario, Indexer, error) {
 	return sc, idx, nil
 }
 
-// ParseIndexRequest strictly decodes a /v1/index body: a kind field plus
-// exactly one payload field named after the kind, dispatched through the
-// scenario registry — the same envelope contract as /v1/simulate.
+// ParseIndexRequest strictly decodes a /v1/index body into its wire type,
+// api.IndexRequest: a kind field plus exactly one payload field named after
+// the kind, dispatched through the scenario registry — the same envelope
+// contract as /v1/simulate.
 func ParseIndexRequest(body []byte) (*IndexRequest, error) {
-	fields, err := parseFields(body)
+	var w api.IndexRequest
+	if err := spec.DecodeStrict(body, &w); err != nil {
+		return nil, err
+	}
+	sc, idx, err := lookupIndexer(w.Kind)
 	if err != nil {
 		return nil, err
 	}
-	var kind string
-	if err := fields.take("kind", &kind); err != nil {
-		return nil, err
-	}
-	sc, idx, err := lookupIndexer(kind)
+	payload, err := w.Payload()
 	if err != nil {
 		return nil, err
 	}
-	raw, err := fields.popPayload(kind)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := idx.ParseIndexPayload(raw)
-	if err != nil {
-		return nil, err
-	}
-	return &IndexRequest{Kind: kind, Scenario: sc, Indexer: idx, Payload: payload}, nil
+	return &IndexRequest{Kind: w.Kind, Scenario: sc, Indexer: idx, Payload: payload}, nil
 }
 
 // IndexKinds returns every registered kind that carries the index

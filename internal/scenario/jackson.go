@@ -38,15 +38,9 @@ type jacksonScenario struct{}
 
 func (jacksonScenario) Kind() string { return "jackson" }
 
-func (jacksonScenario) ParsePayload(raw json.RawMessage) (any, error) {
-	var p JacksonSim
-	if err := decodeStrictPayload(raw, &p); err != nil {
-		return nil, err
-	}
-	if p.Burnin < 0 || p.Horizon <= p.Burnin {
-		return nil, fmt.Errorf("need 0 <= burnin < horizon, got burnin=%v horizon=%v", p.Burnin, p.Horizon)
-	}
-	return &p, nil
+func (jacksonScenario) CheckPayload(payload any) error {
+	p := payload.(*JacksonSim)
+	return checkWindow(p.Burnin, p.Horizon)
 }
 
 func (jacksonScenario) ReplicationWork(payload any) float64 {
@@ -182,14 +176,6 @@ func (jacksonScenario) Outcome(policy string, resp []byte) (Outcome, error) {
 // approximation.
 
 func (jacksonScenario) IndexFamily() string { return "jackson" }
-
-func (jacksonScenario) ParseIndexPayload(raw json.RawMessage) (any, error) {
-	var n api.Network
-	if err := decodeStrictPayload(raw, &n); err != nil {
-		return nil, err
-	}
-	return &n, nil
-}
 
 func (jacksonScenario) IndexHash(payload any) string {
 	return api.Hash(&api.IndexRequest{Kind: "jackson", Jackson: payload.(*api.Network)})

@@ -38,18 +38,15 @@ const (
 	mdpSolveMaxIter = 100000
 )
 
-func (mdpScenario) ParsePayload(raw json.RawMessage) (any, error) {
-	var p MDPSim
-	if err := decodeStrictPayload(raw, &p); err != nil {
-		return nil, err
-	}
-	if p.Burnin < 0 || p.Horizon <= p.Burnin {
-		return nil, fmt.Errorf("need 0 <= burnin < horizon, got burnin=%d horizon=%d", p.Burnin, p.Horizon)
+func (mdpScenario) CheckPayload(payload any) error {
+	p := payload.(*MDPSim)
+	if err := checkWindow(p.Burnin, p.Horizon); err != nil {
+		return err
 	}
 	if p.Start < 0 {
-		return nil, fmt.Errorf("need a nonnegative start state, got %d", p.Start)
+		return fmt.Errorf("need a nonnegative start state, got %d", p.Start)
 	}
-	return &p, nil
+	return nil
 }
 
 func (mdpScenario) ReplicationWork(payload any) float64 {
@@ -157,14 +154,6 @@ func (mdpScenario) Outcome(policy string, resp []byte) (Outcome, error) {
 // iteration, cross-checked by the occupation-measure LP.
 
 func (mdpScenario) IndexFamily() string { return "mdp" }
-
-func (mdpScenario) ParseIndexPayload(raw json.RawMessage) (any, error) {
-	var m api.MDP
-	if err := decodeStrictPayload(raw, &m); err != nil {
-		return nil, err
-	}
-	return &m, nil
-}
 
 func (mdpScenario) IndexHash(payload any) string {
 	return api.Hash(&api.IndexRequest{Kind: "mdp", MDP: payload.(*api.MDP)})

@@ -34,15 +34,9 @@ type mg1Scenario struct{}
 
 func (mg1Scenario) Kind() string { return "mg1" }
 
-func (mg1Scenario) ParsePayload(raw json.RawMessage) (any, error) {
-	var p MG1Sim
-	if err := decodeStrictPayload(raw, &p); err != nil {
-		return nil, err
-	}
-	if p.Burnin < 0 || p.Horizon <= p.Burnin {
-		return nil, fmt.Errorf("need 0 <= burnin < horizon, got burnin=%v horizon=%v", p.Burnin, p.Horizon)
-	}
-	return &p, nil
+func (mg1Scenario) CheckPayload(payload any) error {
+	p := payload.(*MG1Sim)
+	return checkWindow(p.Burnin, p.Horizon)
 }
 
 func (mg1Scenario) ReplicationWork(payload any) float64 {
@@ -203,14 +197,6 @@ func (mg1Scenario) Outcome(policy string, resp []byte) (Outcome, error) {
 // indices for feedback systems).
 
 func (mg1Scenario) IndexFamily() string { return "priority" }
-
-func (mg1Scenario) ParseIndexPayload(raw json.RawMessage) (any, error) {
-	var m api.MG1
-	if err := decodeStrictPayload(raw, &m); err != nil {
-		return nil, err
-	}
-	return &m, nil
-}
 
 // IndexHash hashes the {"kind":"mg1","mg1":…} priority envelope — exactly
 // the body of the retired /v1/priority route, so goldens and cache keys

@@ -33,15 +33,9 @@ type mmmScenario struct{}
 
 func (mmmScenario) Kind() string { return "mmm" }
 
-func (mmmScenario) ParsePayload(raw json.RawMessage) (any, error) {
-	var p MMmSim
-	if err := decodeStrictPayload(raw, &p); err != nil {
-		return nil, err
-	}
-	if p.Burnin < 0 || p.Horizon <= p.Burnin {
-		return nil, fmt.Errorf("need 0 <= burnin < horizon, got burnin=%v horizon=%v", p.Burnin, p.Horizon)
-	}
-	return &p, nil
+func (mmmScenario) CheckPayload(payload any) error {
+	p := payload.(*MMmSim)
+	return checkWindow(p.Burnin, p.Horizon)
 }
 
 func (mmmScenario) ReplicationWork(payload any) float64 {
@@ -141,14 +135,6 @@ func (mmmScenario) Outcome(policy string, resp []byte) (Outcome, error) {
 // analytic wait) and the fast-single-server lower bound.
 
 func (mmmScenario) IndexFamily() string { return "priority" }
-
-func (mmmScenario) ParseIndexPayload(raw json.RawMessage) (any, error) {
-	var m api.MMm
-	if err := decodeStrictPayload(raw, &m); err != nil {
-		return nil, err
-	}
-	return &m, nil
-}
 
 // IndexHash hashes the {"kind":"mmm","mmm":…} index envelope.
 func (mmmScenario) IndexHash(payload any) string {

@@ -33,15 +33,9 @@ type pollingScenario struct{}
 
 func (pollingScenario) Kind() string { return "polling" }
 
-func (pollingScenario) ParsePayload(raw json.RawMessage) (any, error) {
-	var p PollingSim
-	if err := decodeStrictPayload(raw, &p); err != nil {
-		return nil, err
-	}
-	if p.Burnin < 0 || p.Horizon <= p.Burnin {
-		return nil, fmt.Errorf("need 0 <= burnin < horizon, got burnin=%v horizon=%v", p.Burnin, p.Horizon)
-	}
-	return &p, nil
+func (pollingScenario) CheckPayload(payload any) error {
+	p := payload.(*PollingSim)
+	return checkWindow(p.Burnin, p.Horizon)
 }
 
 func (pollingScenario) ReplicationWork(payload any) float64 {

@@ -1,16 +1,14 @@
 package scenario
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
-	"strconv"
 	"strings"
 
 	"stochsched/internal/engine"
 	"stochsched/internal/obs"
+	"stochsched/internal/spec"
 	"stochsched/pkg/api"
 )
 
@@ -64,126 +62,34 @@ func (r *Request) BudgetReplications() int {
 	return r.Replications
 }
 
-// fieldSet is a decoded JSON object whose fields are consumed one by one,
-// so envelope parsers can name exactly the leftovers. Field lookup is
-// exact-match first, then case-insensitive, mirroring encoding/json's
-// struct-field matching so bodies the pre-registry strict decoder accepted
-// keep parsing.
-type fieldSet map[string]json.RawMessage
-
-// parseFields strictly decodes body into a fieldSet (trailing data is an
-// error).
-func parseFields(body []byte) (fieldSet, error) {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	var fields map[string]json.RawMessage
-	if err := dec.Decode(&fields); err != nil {
-		return nil, fmt.Errorf("parsing request: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("parsing request: trailing data after JSON value")
-	}
-	return fields, nil
-}
-
-// pop removes and returns the field named name.
-func (f fieldSet) pop(name string) (json.RawMessage, bool) {
-	if raw, ok := f[name]; ok {
-		delete(f, name)
-		return raw, true
-	}
-	for k, raw := range f {
-		if strings.EqualFold(k, name) {
-			delete(f, k)
-			return raw, true
-		}
-	}
-	return nil, false
-}
-
-// take pops and decodes one envelope field; an absent field leaves dst
-// untouched.
-func (f fieldSet) take(name string, dst any) error {
-	raw, ok := f.pop(name)
-	if !ok {
-		return nil
-	}
-	if err := json.Unmarshal(raw, dst); err != nil {
-		return fmt.Errorf("parsing request: field %q: %w", name, err)
-	}
-	return nil
-}
-
-// extras returns the remaining field names, quoted and sorted, for
-// deterministic error messages.
-func (f fieldSet) extras() string {
-	extra := make([]string, 0, len(f))
-	for name := range f {
-		extra = append(extra, strconv.Quote(name))
-	}
-	sort.Strings(extra)
-	return strings.Join(extra, ", ")
-}
-
-// popPayload pops the payload field named after kind and requires nothing
-// else to remain: either the payload is missing or extra fields remain (a
-// second kind's payload, or a field nothing knows).
-func (f fieldSet) popPayload(kind string) (json.RawMessage, error) {
-	raw, ok := f.pop(kind)
-	if !ok || len(f) > 0 {
-		if len(f) > 0 {
-			return nil, fmt.Errorf("kind %s needs exactly the %s field (unexpected %s)", kind, kind, f.extras())
-		}
-		return nil, fmt.Errorf("kind %s needs exactly the %s field", kind, kind)
-	}
-	return raw, nil
-}
-
-// ParseRequest strictly decodes a /v1/simulate body: the envelope fields
-// (kind, seed, replications, parallel), exactly one payload field named
-// after the kind, no unknown fields, no trailing data. Request-level
-// invariants — replication and parallelism ranges, the work budget — are
-// enforced here so every consumer (HTTP handler, sweep cell validation, the
-// CLI) agrees on what a well-formed request is. Spec-level validation is
-// NOT performed; call req.Scenario.Validate(req.Payload) for that.
+// ParseRequest strictly decodes a /v1/simulate body into its wire type,
+// api.SimulateRequest: the envelope fields (kind, seed, replications,
+// precision, antithetic, parallel), exactly one payload field named after
+// the kind, no unknown fields at any depth, no trailing data. Request-level
+// invariants — replication and parallelism ranges, the work budget, the
+// kind's cheap payload shape checks — are enforced here so every consumer
+// (HTTP handler, sweep cell validation, the CLI) agrees on what a
+// well-formed request is. Spec-level validation is NOT performed; call
+// req.Scenario.Validate(req.Payload) for that.
 func ParseRequest(body []byte, lim Limits) (*Request, error) {
-	fields, err := parseFields(body)
-	if err != nil {
+	var w api.SimulateRequest
+	if err := spec.DecodeStrict(body, &w); err != nil {
 		return nil, err
+	}
+	req := Request{
+		Kind:         w.Kind,
+		Seed:         w.Seed,
+		Replications: w.Replications,
+		Parallel:     w.Parallel,
+		Precision:    w.Precision,
+		Antithetic:   w.Antithetic,
 	}
 
-	var req Request
-	if err := fields.take("kind", &req.Kind); err != nil {
-		return nil, err
-	}
-	if err := fields.take("seed", &req.Seed); err != nil {
-		return nil, err
-	}
-	repRaw, hasReps := fields.pop("replications")
-	if hasReps {
-		if err := json.Unmarshal(repRaw, &req.Replications); err != nil {
-			return nil, fmt.Errorf("parsing request: field %q: %w", "replications", err)
-		}
-	}
-	prRaw, hasPrecision := fields.pop("precision")
-	if hasPrecision {
-		var pr api.Precision
-		if err := decodeStrictPayload(prRaw, &pr); err != nil {
-			return nil, fmt.Errorf("field \"precision\": %w", err)
-		}
-		req.Precision = &pr
-	}
-	if err := fields.take("antithetic", &req.Antithetic); err != nil {
-		return nil, err
-	}
-	if err := fields.take("parallel", &req.Parallel); err != nil {
-		return nil, err
-	}
-
-	if hasPrecision {
-		// Target-precision mode: the fixed budget must be absent, and the
-		// stopping-rule parameters must be well-formed. The budget checks
-		// below run against the precision ceiling.
-		if hasReps {
+	if req.Precision != nil {
+		// Target-precision mode: the fixed budget must be absent (zero), and
+		// the stopping-rule parameters must be well-formed. The budget
+		// checks below run against the precision ceiling.
+		if req.Replications != 0 {
 			return nil, fmt.Errorf("replications and precision are mutually exclusive: set exactly one")
 		}
 		if err := req.enginePrecision().Validate(); err != nil {
@@ -211,12 +117,11 @@ func ParseRequest(body []byte, lim Limits) (*Request, error) {
 	}
 	req.Scenario = sc
 
-	raw, err := fields.popPayload(req.Kind)
+	payload, err := w.Payload()
 	if err != nil {
 		return nil, err
 	}
-	payload, err := sc.ParsePayload(raw)
-	if err != nil {
+	if err := sc.CheckPayload(payload); err != nil {
 		return nil, err
 	}
 	req.Payload = payload
@@ -247,7 +152,7 @@ func (r *Request) Hash() string {
 	h, err := api.SimulateHashOpts(r.Kind, r.Payload, r.Seed, r.Replications, r.Precision, r.Antithetic)
 	if err != nil {
 		// Payloads are plain data decoded from JSON; marshaling cannot
-		// fail on anything ParsePayload accepts.
+		// fail on anything ParseRequest accepts.
 		panic(fmt.Sprintf("scenario: unhashable payload: %v", err))
 	}
 	r.hash = h
@@ -304,18 +209,4 @@ func Run(ctx context.Context, req *Request, pool *engine.Pool) ([]byte, error) {
 	out = append(out, ':')
 	out = append(out, frag...)
 	return append(out, '}', '\n'), nil
-}
-
-// decodeStrictPayload unmarshals raw into v, rejecting unknown fields and
-// trailing garbage — the same strictness the envelope applies.
-func decodeStrictPayload(raw json.RawMessage, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("parsing request: %w", err)
-	}
-	if dec.More() {
-		return fmt.Errorf("parsing request: trailing data after JSON value")
-	}
-	return nil
 }

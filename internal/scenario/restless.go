@@ -36,18 +36,12 @@ type restlessScenario struct{}
 
 func (restlessScenario) Kind() string { return "restless" }
 
-func (restlessScenario) ParsePayload(raw json.RawMessage) (any, error) {
-	var p RestlessSim
-	if err := decodeStrictPayload(raw, &p); err != nil {
-		return nil, err
-	}
+func (restlessScenario) CheckPayload(payload any) error {
+	p := payload.(*RestlessSim)
 	if p.N < 1 || p.M < 0 || p.M > p.N {
-		return nil, fmt.Errorf("need 1 <= n and 0 <= m <= n, got n=%d m=%d", p.N, p.M)
+		return fmt.Errorf("need 1 <= n and 0 <= m <= n, got n=%d m=%d", p.N, p.M)
 	}
-	if p.Burnin < 0 || p.Horizon <= p.Burnin {
-		return nil, fmt.Errorf("need 0 <= burnin < horizon, got burnin=%d horizon=%d", p.Burnin, p.Horizon)
-	}
-	return &p, nil
+	return checkWindow(p.Burnin, p.Horizon)
 }
 
 func (restlessScenario) ReplicationWork(payload any) float64 {
@@ -144,14 +138,6 @@ func (restlessScenario) Outcome(policy string, resp []byte) (Outcome, error) {
 // Indexer capability: Whittle indices (+ optional indexability check).
 
 func (restlessScenario) IndexFamily() string { return "whittle" }
-
-func (restlessScenario) ParseIndexPayload(raw json.RawMessage) (any, error) {
-	var r api.WhittleRequest
-	if err := decodeStrictPayload(raw, &r); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
 
 // IndexHash hashes the flattened project-plus-knob struct — exactly the
 // body of the retired /v1/whittle route, so goldens and cache keys are

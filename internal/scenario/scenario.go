@@ -9,8 +9,9 @@
 //
 //   - the wire name (the request's "kind" value, which is also the name of
 //     the payload field and of the result fragment in the response body);
-//   - strict payload parsing and request-shape checks (cheap, run on every
-//     request including cache hits);
+//   - cheap request-shape checks of the payload, run on every request
+//     including cache hits (decoding itself is the wire type's job: the
+//     payload is the kind's field of api.SimulateRequest);
 //   - full spec validation (the expensive half, run once per computation
 //     and eagerly at sweep submission);
 //   - per-replication work accounting, so the serving layer can enforce one
@@ -28,7 +29,6 @@ package scenario
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
@@ -40,19 +40,20 @@ import (
 )
 
 // Scenario is one pluggable simulate kind. Implementations are stateless
-// values; the payload returned by ParsePayload is threaded back into the
-// other methods, which type-assert it.
+// values. ParseRequest strictly decodes the body into api.SimulateRequest
+// and hands every method the typed payload field named after the kind (a
+// pointer such as *api.MG1Sim), which the methods type-assert.
 type Scenario interface {
 	// Kind returns the wire name: the request's "kind" value, the name of
 	// the payload field beside it, and the key of the result fragment in
 	// the response body.
 	Kind() string
 
-	// ParsePayload strictly decodes the kind's payload field (unknown
-	// fields are errors) and enforces the request-shape invariants that are
-	// cheap enough to run on every request. Spec-level validation is
+	// CheckPayload enforces the request-shape invariants of a decoded
+	// payload that are cheap enough to run on every request (burnin <
+	// horizon, start states in range, …). Spec-level validation is
 	// deferred to Validate so cache hits never pay for it.
-	ParsePayload(raw json.RawMessage) (any, error)
+	CheckPayload(payload any) error
 
 	// Validate fully validates a parsed payload — spec consistency,
 	// stability, policy membership — without executing it. Sweep submission
@@ -127,6 +128,15 @@ func (o SimOpts) stream(seed uint64) *rng.Stream {
 // mirroring cannot pair meaningfully.
 func errAntithetic(kind, why string) error {
 	return BadSpec{fmt.Errorf("kind %s does not support antithetic replications: %s", kind, why)}
+}
+
+// checkWindow is the CheckPayload shape check of the kinds measured over a
+// window [burnin, horizon): 0 <= burnin < horizon.
+func checkWindow[T int | float64](burnin, horizon T) error {
+	if burnin < 0 || horizon <= burnin {
+		return fmt.Errorf("need 0 <= burnin < horizon, got burnin=%v horizon=%v", burnin, horizon)
+	}
+	return nil
 }
 
 // eventWork is the work estimate of one queueing (DES) replication: the

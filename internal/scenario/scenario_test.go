@@ -71,10 +71,9 @@ func TestParseRequestEnvelope(t *testing.T) {
 	}
 }
 
-// TestParseRequestFieldCaseInsensitive: encoding/json struct decoding
-// matched envelope fields case-insensitively, so the map-based envelope
-// parser must too — pre-registry clients sending "Kind"/"Seed" keep
-// working.
+// TestParseRequestFieldCaseInsensitive: envelope fields match
+// case-insensitively, as encoding/json struct decoding does — clients
+// sending "Kind"/"Seed" keep working.
 func TestParseRequestFieldCaseInsensitive(t *testing.T) {
 	body := strings.NewReplacer(`"kind"`, `"Kind"`, `"seed"`, `"Seed"`, `"mg1":`, `"MG1":`).Replace(mg1Body)
 	req, err := ParseRequest([]byte(body), Limits{MaxReplications: 100, MaxSimWork: 1e6})

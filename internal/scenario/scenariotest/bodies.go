@@ -64,8 +64,8 @@ var simulateBodies = map[string]string{
 	]},"policy":"talwar"},"seed":%d,"replications":40}`,
 }
 
-// indexPayloads maps kind -> the canonical index payload fragment (what
-// the kind's ParseIndexPayload accepts) for every kind with an Indexer.
+// indexPayloads maps kind -> the canonical index payload fragment (the
+// kind's field of api.IndexRequest) for every kind with an Indexer.
 var indexPayloads = map[string]string{
 	"bandit": `{"beta":0.9,"transitions":[[0.5,0.5],[0.2,0.8]],"rewards":[1,0.3]}`,
 

@@ -21,84 +21,81 @@ import (
 // daemon persists through internal/cluster.Store. The ring itself, the
 // per-peer clients, and the health probing live in internal/cluster.
 
-// maybeForward routes one parsed request on the ring and, when a healthy
-// remote peer owns its cache key, relays the request there and writes the
-// peer's response (or relays its error envelope). It reports whether the
-// response has been written — false means "serve locally": single-node
-// deployments, self-owned keys, requests already forwarded once (the loop
-// guard), and transport failures against an owner that just went down
-// (Forward has marked it; this request falls back rather than erroring).
-func (s *Server) maybeForward(w http.ResponseWriter, r *http.Request, m *EndpointMetrics, path, key string, body []byte) bool {
-	if s.cluster == nil || r.Header.Get(cluster.ForwardHeader) != "" {
-		return false
+// forward routes one parsed request on the ring and, when a healthy remote
+// peer owns its cache key, relays body there under a "forward" span. It
+// reports whether the request was handled remotely — false means "serve
+// locally": single-node deployments, self-owned keys, and transport
+// failures against an owner that just went down (Forward has marked it;
+// this request falls back rather than erroring). When handled, either
+// resp is the owner's response body or apiErr is the error the owner
+// answered, already counted as shed or as an error. root, when non-nil,
+// is annotated with the cluster=fallback and outcome=forward facts.
+func (s *Server) forward(ctx context.Context, root *obs.Span, m *EndpointMetrics, path, key string, body []byte) (resp []byte, apiErr *client.APIError, handled bool) {
+	if s.cluster == nil {
+		return nil, nil, false
 	}
 	d := s.cluster.Route(key)
 	if !d.Forward {
 		if d.Fallback {
-			obs.RootSpan(r.Context()).Annotate("cluster", "fallback")
+			root.Annotate("cluster", "fallback")
 		}
-		return false
-	}
-	root := obs.RootSpan(r.Context())
-	fsp := root.StartChild("forward")
-	fsp.Annotate("peer", d.Peer)
-	resp, err := s.cluster.Forward(r.Context(), d.Peer, path, body)
-	fsp.End()
-	if err != nil {
-		var apiErr *client.APIError
-		if errors.As(err, &apiErr) {
-			// The owner served the request and answered an error: relay it
-			// verbatim — writeError reproduces the identical envelope, so a
-			// forwarded rejection is byte-identical to a local one.
-			if apiErr.Status == http.StatusTooManyRequests {
-				m.shed.Add(1)
-			} else {
-				m.errors.Add(1)
-			}
-			root.Annotate("outcome", "forward")
-			writeError(w, apiErr.Status, apiErr.Code, apiErr.Message)
-			return true
-		}
-		// Transport failure: the peer is marked down; serve locally. The
-		// response is byte-identical either way — that is the determinism
-		// contract degraded mode rests on.
-		root.Annotate("cluster", "fallback")
-		return false
-	}
-	root.Annotate("outcome", "forward")
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Cache", "forward")
-	w.Write(resp)
-	return true
-}
-
-// forwardItem is maybeForward for one /v1/batch item: same routing, same
-// loop guard (the caller suppresses it on forwarded batches), same
-// degraded-mode fallback, rendered as a per-item result instead of an
-// HTTP response. handled false means "serve the item locally".
-func (s *Server) forwardItem(ctx context.Context, m *EndpointMetrics, path, key string, body []byte) (res api.BatchItemResult, handled bool) {
-	if s.cluster == nil {
-		return res, false
-	}
-	d := s.cluster.Route(key)
-	if !d.Forward {
-		return res, false
+		return nil, nil, false
 	}
 	fctx, fsp := obs.Start(ctx, "forward")
 	fsp.Annotate("peer", d.Peer)
 	resp, err := s.cluster.Forward(fctx, d.Peer, path, body)
 	fsp.End()
 	if err != nil {
-		var apiErr *client.APIError
-		if errors.As(err, &apiErr) {
-			if apiErr.Status == http.StatusTooManyRequests {
-				m.shed.Add(1)
-			} else {
-				m.errors.Add(1)
-			}
-			return batchItemError(apiErr.Status, apiErr.Code, apiErr.Message), true
+		if !errors.As(err, &apiErr) {
+			// Transport failure: the peer is marked down; serve locally.
+			// The response is byte-identical either way — that is the
+			// determinism contract degraded mode rests on.
+			root.Annotate("cluster", "fallback")
+			return nil, nil, false
 		}
-		return res, false // owner down: compute the item locally
+		if apiErr.Status == http.StatusTooManyRequests {
+			m.shed.Add(1)
+		} else {
+			m.errors.Add(1)
+		}
+	}
+	root.Annotate("outcome", "forward")
+	return resp, apiErr, true
+}
+
+// maybeForward is forward for a single-call endpoint: unless the request
+// is itself a forward (the depth-1 loop guard), it writes the owner's
+// response, or relays its error envelope verbatim (writeError reproduces
+// the identical envelope, so a forwarded rejection is byte-identical to a
+// local one). It reports whether the response has been written.
+func (s *Server) maybeForward(w http.ResponseWriter, r *http.Request, m *EndpointMetrics, path, key string, body []byte) bool {
+	if r.Header.Get(cluster.ForwardHeader) != "" {
+		return false
+	}
+	resp, apiErr, handled := s.forward(r.Context(), obs.RootSpan(r.Context()), m, path, key, body)
+	switch {
+	case !handled:
+		return false
+	case apiErr != nil:
+		writeError(w, apiErr.Status, apiErr.Code, apiErr.Message)
+	default:
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("X-Cache", "forward")
+		w.Write(resp)
+	}
+	return true
+}
+
+// forwardItem is forward for one /v1/batch item (the caller applies the
+// loop guard to the whole batch), rendered as a per-item result. handled
+// false means "serve the item locally".
+func (s *Server) forwardItem(ctx context.Context, m *EndpointMetrics, path, key string, body []byte) (api.BatchItemResult, bool) {
+	resp, apiErr, handled := s.forward(ctx, nil, m, path, key, body)
+	switch {
+	case !handled:
+		return api.BatchItemResult{}, false
+	case apiErr != nil:
+		return batchItemError(apiErr.Status, apiErr.Code, apiErr.Message), true
 	}
 	return api.BatchItemResult{Status: http.StatusOK, Body: resp}, true
 }

@@ -20,7 +20,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -35,6 +34,7 @@ import (
 	"stochsched/internal/engine"
 	"stochsched/internal/obs"
 	"stochsched/internal/scenario"
+	"stochsched/internal/spec"
 	"stochsched/internal/sweep"
 	"stochsched/pkg/api"
 )
@@ -559,7 +559,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.BatchRequest
-	if err := decodeStrict(body, &req); err != nil {
+	if err := spec.DecodeStrict(body, &req); err != nil {
 		m.errors.Add(1)
 		writeError(w, http.StatusBadRequest, api.ErrCodeBadRequest, err.Error())
 		return
@@ -661,20 +661,6 @@ func batchItemError(status int, code, msg string) api.BatchItemResult {
 		body = []byte(`{"error":{"code":"internal","message":"encoding error body"}}`)
 	}
 	return api.BatchItemResult{Status: status, Body: body}
-}
-
-// decodeStrict unmarshals body into v, rejecting unknown fields and
-// trailing garbage.
-func decodeStrict(body []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return badRequest{fmt.Errorf("parsing request: %w", err)}
-	}
-	if dec.More() {
-		return badRequest{fmt.Errorf("parsing request: trailing data after JSON value")}
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------------------

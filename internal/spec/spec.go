@@ -15,7 +15,10 @@
 package spec
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 
 	"stochsched/internal/bandit"
@@ -54,6 +57,24 @@ func SetString(base []byte, path, value string) ([]byte, error) {
 // Hash forwards to api.Hash: the canonical content hash the service
 // memoizes on.
 func Hash(v any) string { return api.Hash(v) }
+
+// DecodeStrict unmarshals one JSON request body into v with the strictness
+// the API promises: unknown fields, at every depth, and trailing data are
+// errors. Every request decoder (simulate, index, batch, sweep) goes
+// through here.
+func DecodeStrict(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("parsing request: %w", err)
+	}
+	// Anything but whitespace after the value is an error, including a
+	// stray closing '}' or ']' (which dec.More would let through).
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("parsing request: trailing data after JSON value")
+	}
+	return nil
+}
 
 // ---------------------------------------------------------------------------
 // Distributions

@@ -198,3 +198,33 @@ func TestHashStableAndDiscriminating(t *testing.T) {
 		t.Fatalf("hash length %d, want 64", len(Hash(&a)))
 	}
 }
+
+// TestDecodeStrictRejectsTrailingCloser is the regression test for a
+// FuzzParseRequest crasher: a body followed by a stray '}' or ']' was
+// accepted, because json.Decoder.More reports no more values before a
+// closing delimiter. Any non-whitespace after the value is an error.
+func TestDecodeStrictRejectsTrailingCloser(t *testing.T) {
+	for _, body := range []string{
+		`{"beta":0.9}}`,
+		`{"beta":0.9}]`,
+		`{"beta":0.9} }`,
+		`{"beta":0.9}{}`,
+		`{"beta":0.9},`,
+		"{\"beta\":0.9}\f",
+	} {
+		var b Bandit
+		if err := DecodeStrict([]byte(body), &b); err == nil {
+			t.Errorf("%q decoded without error", body)
+		}
+	}
+	for _, body := range []string{`{"beta":0.9}`, "{\"beta\":0.9} \t\r\n"} {
+		var b Bandit
+		if err := DecodeStrict([]byte(body), &b); err != nil || b.Beta != 0.9 {
+			t.Errorf("%q: beta %v, err %v", body, b.Beta, err)
+		}
+	}
+	var b Bandit
+	if err := DecodeStrict([]byte(`{"beta":0.9,"bogus":1}`), &b); err == nil {
+		t.Error("unknown field decoded without error")
+	}
+}

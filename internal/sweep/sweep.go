@@ -68,14 +68,9 @@ type Request = api.SweepRequest
 // and the CLI both decode through here, so they can never disagree about
 // what a well-formed sweep request is.
 func DecodeRequest(data []byte) (*Request, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var req Request
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("sweep: parsing request: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("sweep: parsing request: trailing data after JSON value")
+	if err := spec.DecodeStrict(data, &req); err != nil {
+		return nil, fmt.Errorf("sweep: %w", err)
 	}
 	return &req, nil
 }

@@ -17,6 +17,15 @@ type IndexRequest struct {
 	MDP      *MDP            `json:"mdp,omitempty"`
 }
 
+// Payload returns the payload field matching Kind, or an error when the
+// request carries none, or also carries another kind's field.
+func (r *IndexRequest) Payload() (any, error) {
+	return kindPayload(r.Kind,
+		member("bandit", r.Bandit), member("restless", r.Restless), member("mg1", r.MG1),
+		member("mmm", r.MMm), member("batch", r.Batch), member("jackson", r.Jackson),
+		member("mdp", r.MDP))
+}
+
 // WhittleRequest is the "restless" index payload: a restless project spec
 // plus the optional indexability check.
 type WhittleRequest struct {

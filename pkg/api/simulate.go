@@ -1,6 +1,10 @@
 package api
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // ---------------------------------------------------------------------------
 // POST /v1/simulate — the kind-dispatched Monte Carlo envelope.
@@ -61,54 +65,55 @@ type Precision struct {
 }
 
 // Payload returns the payload field matching Kind, or an error when the
-// request carries none (or one under a different kind). Kinds this struct
-// has no field for can still be sent raw — see pkg/client.
+// request carries none, or also carries another kind's field. Kinds this
+// struct has no field for can still be sent raw — see pkg/client.
 func (r *SimulateRequest) Payload() (any, error) {
-	var p any
-	switch r.Kind {
-	case "mg1":
-		if r.MG1 != nil {
-			p = r.MG1
-		}
-	case "mmm":
-		if r.MMm != nil {
-			p = r.MMm
-		}
-	case "bandit":
-		if r.Bandit != nil {
-			p = r.Bandit
-		}
-	case "restless":
-		if r.Restless != nil {
-			p = r.Restless
-		}
-	case "batch":
-		if r.Batch != nil {
-			p = r.Batch
-		}
-	case "jackson":
-		if r.Jackson != nil {
-			p = r.Jackson
-		}
-	case "polling":
-		if r.Polling != nil {
-			p = r.Polling
-		}
-	case "mdp":
-		if r.MDP != nil {
-			p = r.MDP
-		}
-	case "flowshop":
-		if r.FlowShop != nil {
-			p = r.FlowShop
-		}
-	default:
-		return nil, fmt.Errorf("api: kind %q has no typed payload field", r.Kind)
-	}
+	return kindPayload(r.Kind,
+		member("mg1", r.MG1), member("mmm", r.MMm), member("bandit", r.Bandit),
+		member("restless", r.Restless), member("batch", r.Batch), member("jackson", r.Jackson),
+		member("polling", r.Polling), member("mdp", r.MDP), member("flowshop", r.FlowShop))
+}
+
+// payloadMember is one kind's typed payload field of a request envelope;
+// v is nil when the field is unset.
+type payloadMember struct {
+	kind string
+	v    any
+}
+
+func member[T any](kind string, p *T) payloadMember {
 	if p == nil {
-		return nil, fmt.Errorf("api: kind %s needs exactly the %s payload field", r.Kind, r.Kind)
+		return payloadMember{kind: kind}
 	}
-	return p, nil
+	return payloadMember{kind, p}
+}
+
+// kindPayload picks the payload member named kind: the one table behind
+// SimulateRequest.Payload and IndexRequest.Payload. It fails when no
+// member is named kind, when that member is unset, or when another kind's
+// member is set beside it.
+func kindPayload(kind string, members ...payloadMember) (any, error) {
+	var payload any
+	known := false
+	var extra []string
+	for _, m := range members {
+		switch {
+		case m.kind == kind:
+			known, payload = true, m.v
+		case m.v != nil:
+			extra = append(extra, strconv.Quote(m.kind))
+		}
+	}
+	if !known {
+		return nil, fmt.Errorf("api: kind %q has no typed payload field", kind)
+	}
+	if len(extra) > 0 {
+		return nil, fmt.Errorf("api: kind %s needs exactly the %s payload field (unexpected %s)", kind, kind, strings.Join(extra, ", "))
+	}
+	if payload == nil {
+		return nil, fmt.Errorf("api: kind %s needs exactly the %s payload field", kind, kind)
+	}
+	return payload, nil
 }
 
 // SpecHash returns the request's canonical content hash — the memoization
