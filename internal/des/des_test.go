@@ -76,7 +76,7 @@ func TestCancel(t *testing.T) {
 func TestCancelFromEvent(t *testing.T) {
 	s := New()
 	fired := false
-	var h *Handle
+	var h Handle
 	s.At(1, func() { h.Cancel() })
 	h = s.At(2, func() { fired = true })
 	s.Run()
@@ -217,7 +217,7 @@ func TestRandomCancellationStress(t *testing.T) {
 		}
 		var recs []*rec
 		var fired []float64
-		var handles []*Handle
+		var handles []Handle
 		n := 50 + stream.Intn(200)
 		for i := 0; i < n; i++ {
 			r := &rec{time: stream.Float64() * 100}
@@ -251,16 +251,105 @@ func TestRandomCancellationStress(t *testing.T) {
 	}
 }
 
+// TestScheduleCallSharesTheOrder: closures and argument-carrying calls
+// scheduled at one time fire in insertion order, and a call's handle
+// cancels it.
+func TestScheduleCallSharesTheOrder(t *testing.T) {
+	s := New()
+	var order []int
+	call := func(i int) { order = append(order, i) }
+	s.Schedule(1, func() { order = append(order, 0) })
+	s.ScheduleCall(1, call, 1)
+	s.Schedule(1, func() { order = append(order, 2) })
+	s.ScheduleCall(1, call, 3)
+	s.ScheduleCall(0.5, call, 99).Cancel()
+	s.Run()
+	if len(order) != 4 || order[0] != 0 || order[1] != 1 || order[2] != 2 || order[3] != 3 {
+		t.Fatalf("mixed events fired as %v, want [0 1 2 3]", order)
+	}
+	if s.Fired() != 4 || s.Now() != 1 {
+		t.Fatalf("fired %d, clock %v; want 4 at 1", s.Fired(), s.Now())
+	}
+}
+
+// TestCancelAfterFireIsNoOp: a handle whose event already fired cancels
+// nothing, even when a later event shares its time.
+func TestCancelAfterFireIsNoOp(t *testing.T) {
+	s := New()
+	count := 0
+	h := s.At(1, func() { count++ })
+	s.Step()
+	s.At(1, func() { count++ })
+	h.Cancel()
+	var zero Handle
+	zero.Cancel()
+	s.Run()
+	if count != 2 || s.Pending() != 0 {
+		t.Fatalf("count %d, pending %d; want 2, 0", count, s.Pending())
+	}
+}
+
+// TestCancelledEventDoesNotMoveTheClock: the clock ends at the last live
+// event, not at a cancelled later one.
+func TestCancelledEventDoesNotMoveTheClock(t *testing.T) {
+	s := New()
+	s.At(1, func() {})
+	s.At(7, func() {}).Cancel()
+	s.Run()
+	if s.Now() != 1 || s.Fired() != 1 {
+		t.Fatalf("clock %v, fired %d; want 1, 1", s.Now(), s.Fired())
+	}
+}
+
+// warmed returns a simulator holding pending self-rescheduling events,
+// with its heap grown past what the measured loop needs.
+func warmed() *Simulator {
+	s := New()
+	for i := 0; i < 64; i++ {
+		s.Schedule(float64(i), func() {})
+	}
+	for i := 0; i < 1024; i++ {
+		s.Schedule(1, func() {})
+		s.Step()
+	}
+	return s
+}
+
+func TestScheduleDoesNotAllocate(t *testing.T) {
+	s := warmed()
+	action := func() {}
+	if n := testing.AllocsPerRun(1000, func() {
+		s.Schedule(1, action)
+		s.Step()
+	}); n != 0 {
+		t.Fatalf("Schedule+Step allocates %v per event, want 0", n)
+	}
+}
+
+func TestScheduleCallDoesNotAllocate(t *testing.T) {
+	s := warmed()
+	sum := 0
+	call := func(i int) { sum += i }
+	if n := testing.AllocsPerRun(1000, func() {
+		s.ScheduleCall(1, call, 3)
+		s.Step()
+	}); n != 0 {
+		t.Fatalf("ScheduleCall+Step allocates %v per event, want 0", n)
+	}
+}
+
 func BenchmarkScheduleAndFire(b *testing.B) {
 	s := New()
 	stream := rng.New(1)
+	action := func() {}
 	// Keep a rolling queue of 1000 events.
 	for i := 0; i < 1000; i++ {
-		s.Schedule(stream.Float64(), func() {})
+		s.Schedule(stream.Float64(), action)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Schedule(s.Now()+stream.Float64(), func() {})
+		s.Schedule(stream.Float64(), action)
 		s.Step()
 	}
 }

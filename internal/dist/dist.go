@@ -150,7 +150,8 @@ func (d Uniform) String() string { return fmt.Sprintf("U[%g,%g]", d.Lo, d.Hi) }
 // Erlang
 
 // Erlang is the Erlang-K law: the sum of K iid exponentials with the given
-// rate (mean K/Rate). K must be ≥ 1.
+// rate (mean K/Rate, variance K/Rate²). K must be ≥ 1; a draw costs K
+// uniforms, so callers taking K from a request bound it (spec.MaxErlangK).
 type Erlang struct {
 	K    int
 	Rate float64
@@ -162,14 +163,27 @@ func (d Erlang) Mean() float64 { return float64(d.K) / d.Rate }
 // Var implements Distribution.
 func (d Erlang) Var() float64 { return float64(d.K) / (d.Rate * d.Rate) }
 
+// erlangFold is the running product below which Erlang.Sample moves it
+// into its log accumulator: one more uniform (≥ 2^-53) cannot take it
+// below the normal range, and a product of K ≤ 300 uniforms reaches it
+// with probability below 1e-15, so draws with small K take the plain path.
+const erlangFold = 1e-200
+
 // Sample implements Distribution.
 func (d Erlang) Sample(s *rng.Stream) float64 {
-	// −log(∏ U_i)/rate accumulates the K exponential phases in one pass.
-	prod := 1.0
+	// −log(∏ U_i)/rate accumulates the K exponential phases with one
+	// logarithm. The product of ~700 or more uniforms underflows to 0, so
+	// it is folded into logSum whenever it drops below erlangFold; without
+	// a fold, logSum is 0 and the draw is exactly −log(∏ U_i)/rate.
+	prod, logSum := 1.0, 0.0
 	for i := 0; i < d.K; i++ {
 		prod *= s.Float64Open()
+		if prod < erlangFold {
+			logSum += math.Log(prod)
+			prod = 1
+		}
 	}
-	return -math.Log(prod) / d.Rate
+	return -(logSum + math.Log(prod)) / d.Rate
 }
 
 // CDF returns P(X ≤ x) = 1 − e^{−rx} Σ_{j<K} (rx)^j/j!.

@@ -75,6 +75,28 @@ func TestMomentsMatchSampling(t *testing.T) {
 	}
 }
 
+// TestErlangLargeKSampleMean: with K in the thousands the product of K
+// uniforms underflows to 0, which once drew +Inf; every draw must be
+// finite and the sample mean within a few standard errors of K/Rate.
+func TestErlangLargeKSampleMean(t *testing.T) {
+	for _, d := range []Erlang{{K: 700, Rate: 700}, {K: 1000, Rate: 2000}, {K: 5000, Rate: 1}} {
+		s := rng.New(17)
+		const n = 2000
+		sum := 0.0
+		for i := 0; i < n; i++ {
+			x := d.Sample(s)
+			if math.IsInf(x, 0) || math.IsNaN(x) || x <= 0 {
+				t.Fatalf("%v: draw %d is %v", d, i, x)
+			}
+			sum += x
+		}
+		mean, se := sum/n, math.Sqrt(d.Var()/n)
+		if math.Abs(mean-d.Mean()) > 4*se {
+			t.Errorf("%v: sample mean %v, want %v ± %v", d, mean, d.Mean(), 4*se)
+		}
+	}
+}
+
 // The phase-type representations must carry exactly the moments of the
 // closed-form laws they encode — that is what lets E27 validate the
 // two-moment queueing formulas with PH services.

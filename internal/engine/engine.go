@@ -35,6 +35,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -284,7 +285,7 @@ func reduceCore[T, A any](ctx context.Context, p *Pool, n int,
 				c.setErr(k, err)
 				continue
 			}
-			v, err := run(ctx, c.start+k, &c.args[k])
+			v, err := runTask(ctx, run, c.start+k, &c.args[k])
 			if err != nil {
 				c.setErr(k, err)
 				cancel() // abandon outstanding work at the next task boundary
@@ -381,6 +382,18 @@ func reduceCore[T, A any](ctx context.Context, p *Pool, n int,
 	// Every task completed and was reduced; a cancellation that lands on
 	// this boundary changed nothing, so the run is a success.
 	return nil
+}
+
+// runTask runs task i, turning a panic into the task's error: tasks run on
+// the engine's goroutines, where a panic no caller can recover would end
+// the process. The first-error-by-index rule then reports it.
+func runTask[T, A any](ctx context.Context, run func(ctx context.Context, i int, arg *A) (T, error), i int, arg *A) (v T, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("engine: task %d panicked: %v", i, r)
+		}
+	}()
+	return run(ctx, i, arg)
 }
 
 // preferErr reports whether the error observed at index idx should replace

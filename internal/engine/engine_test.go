@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -162,6 +163,25 @@ func TestReduceErrorPropagation(t *testing.T) {
 		func(int, int) error { return nil })
 	if !errors.Is(err, boom) {
 		t.Fatalf("got %v, want %v", err, boom)
+	}
+}
+
+// TestReducePanicBecomesError: a task that panics on an engine goroutine
+// fails its Reduce with an error naming the task, at every pool size,
+// instead of ending the process.
+func TestReducePanicBecomesError(t *testing.T) {
+	for _, size := range []int{1, 2} {
+		err := Reduce(context.Background(), NewPool(size), 40,
+			func(_ context.Context, i int) (int, error) {
+				if i == 23 {
+					panic("des: negative or NaN delay")
+				}
+				return i, nil
+			},
+			func(int, int) error { return nil })
+		if err == nil || !strings.Contains(err.Error(), "task 23 panicked: des: negative or NaN delay") {
+			t.Errorf("pool %d: got %v, want task 23's panic", size, err)
+		}
 	}
 }
 

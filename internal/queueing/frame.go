@@ -219,18 +219,33 @@ type stations struct {
 	// resampling on resumption exact).
 	preempt bool
 
-	queue   [][]job
-	free    []int
-	current job
-	running *des.Handle
+	queue [][]job
+	free  []int
+	// slots is the in-service table: a completion event carries the index
+	// of its job's slot, and freed slots are reused through spare.
+	slots []inService
+	spare []int
+	// done is complete bound once, the call every completion event runs.
+	done func(slot int)
+	// current is the slot of the job in service under preempt, or -1;
+	// running is its completion event.
+	current int
+	running des.Handle
+}
+
+// inService is a job in service and the station serving it.
+type inService struct {
+	st int
+	jb job
 }
 
 // stations installs the priority-station dispatcher as f's server rule.
 func (f *frame) stations(count, servers int) *stations {
-	d := &stations{frame: f, queue: make([][]job, count), free: make([]int, count)}
+	d := &stations{frame: f, queue: make([][]job, count), free: make([]int, count), current: -1}
 	for st := range d.free {
 		d.free[st] = servers
 	}
+	d.done = d.complete
 	f.enter = d.enter
 	return d
 }
@@ -245,11 +260,11 @@ func (d *stations) station(cls int) int {
 func (d *stations) enter(cls int) {
 	st := d.station(cls)
 	d.queue[st] = append(d.queue[st], job{class: cls, arrival: d.sim.Now()})
-	if d.running != nil && d.rank[cls] < d.rank[d.current.class] {
+	if d.current >= 0 && d.rank[cls] < d.rank[d.slots[d.current].jb.class] {
 		// Preempt: return the job in service to the queue.
 		d.running.Cancel()
-		d.running = nil
-		d.queue[st] = append(d.queue[st], d.current)
+		d.queue[st] = append(d.queue[st], d.slots[d.current].jb)
+		d.release(d.current)
 		d.free[st]++
 	}
 	d.dispatch(st)
@@ -278,25 +293,46 @@ func (d *stations) dispatch(st int) {
 		d.free[st]--
 		d.startService(jb)
 		dur := d.classes[jb.class].Service.Sample(d.svc[jb.class])
-		h := d.sim.Schedule(dur, func() { d.complete(st, jb) })
+		slot := d.hold(st, jb)
+		h := d.sim.ScheduleCall(dur, d.done, slot)
 		if d.preempt {
-			d.current, d.running = jb, h
+			d.current, d.running = slot, h
 		}
 	}
 }
 
-func (d *stations) complete(st int, jb job) {
+// hold puts jb, served at st, into a free slot and returns its index.
+func (d *stations) hold(st int, jb job) int {
+	sv := inService{st: st, jb: jb}
+	if n := len(d.spare); n > 0 {
+		slot := d.spare[n-1]
+		d.spare = d.spare[:n-1]
+		d.slots[slot] = sv
+		return slot
+	}
+	d.slots = append(d.slots, sv)
+	return len(d.slots) - 1
+}
+
+// release frees a slot; it is no longer the one in service.
+func (d *stations) release(slot int) {
+	d.spare = append(d.spare, slot)
+	d.current = -1
+}
+
+func (d *stations) complete(slot int) {
+	sv := d.slots[slot]
+	d.release(slot)
 	d.check()
-	d.free[st]++
-	d.running = nil
-	d.depart(jb.class)
+	d.free[sv.st]++
+	d.depart(sv.jb.class)
 	if d.route != nil {
-		if next := d.route(jb.class); next >= 0 {
+		if next := d.route(sv.jb.class); next >= 0 {
 			d.add(next, 1)
 			d.enter(next)
 		}
 	}
-	d.dispatch(st)
+	d.dispatch(sv.st)
 }
 
 // ranks maps a priority order (class indices, highest first) to a class →

@@ -3,13 +3,17 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"stochsched/internal/dist"
+	"stochsched/internal/queueing"
 	"stochsched/internal/scenario/scenariotest"
+	"stochsched/internal/spec"
 	"stochsched/pkg/api"
 )
 
@@ -108,6 +112,8 @@ func TestUnservableInputsAnswer400(t *testing.T) {
 		// minutes: the budget counts events, horizon × 2·Σλ (+ 1/E[switch]).
 		{"polling 1e-9 switchover", "/v1/simulate", pollingSpinBody},
 		{"mg1 rates 1e7", "/v1/simulate", mg1FloodBody},
+		// An Erlang-k draw costs k uniforms.
+		{"erlang k above the limit", "/v1/simulate", fmt.Sprintf(mg1ErlangBody, spec.MaxErlangK+1, 2*(spec.MaxErlangK+1))},
 	}...) {
 		begin := time.Now()
 		w := post(t, h, tc.path, tc.body)
@@ -123,6 +129,68 @@ func TestUnservableInputsAnswer400(t *testing.T) {
 		if elapsed > time.Second {
 			t.Errorf("%s: answered in %v, want milliseconds", tc.name, elapsed)
 		}
+	}
+}
+
+// mg1ErlangBody is the canonical M/G/1 body at load 0.35 with class 0's
+// service an Erlang-k law of mean 0.5 (formatted with k and rate 2k), run
+// long enough for its delays to settle near Cobham's values.
+const mg1ErlangBody = `{"kind":"mg1","mg1":{"spec":{"classes":[
+	{"rate":0.3,"service":{"kind":"erlang","k":%d,"rate":%d},"hold_cost":4},
+	{"rate":0.2,"service_mean":1,"hold_cost":1}]},"policy":"cmu","horizon":2000,"burnin":100},"seed":1,"replications":10}`
+
+// TestLargeErlangKAnswers: an erlang law at the phase limit was once
+// drawn as a product of k uniforms that underflowed to +Inf, which gave an
+// M/G/1 an L in the tens with zero delays and a batch simulation a NaN
+// (a 500). At k = spec.MaxErlangK the M/G/1 delays must land near
+// Cobham's formula, and a batch job of that law must agree with a
+// deterministic job of the same mean within the two intervals.
+func TestLargeErlangKAnswers(t *testing.T) {
+	h := New(Config{}).Handler()
+	k := spec.MaxErlangK
+	w := post(t, h, "/v1/simulate", fmt.Sprintf(mg1ErlangBody, k, 2*k))
+	if w.Code != http.StatusOK {
+		t.Fatalf("mg1: code %d (%s)", w.Code, w.Body)
+	}
+	var mg1 api.SimulateResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &mg1); err != nil {
+		t.Fatal(err)
+	}
+	m := &queueing.MG1{Classes: []queueing.Class{
+		{ArrivalRate: 0.3, Service: dist.Erlang{K: k, Rate: float64(2 * k)}, HoldCost: 4},
+		{ArrivalRate: 0.2, Service: dist.Exponential{Rate: 1}, HoldCost: 1},
+	}}
+	want, _, err := m.ExactPriority(m.CMuOrder())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, got := range mg1.MG1.Wq {
+		if math.Abs(got-want[j]) > 0.1*want[j] {
+			t.Errorf("mg1 class %d: wq %v, want %v within 10%%", j, got, want[j])
+		}
+	}
+
+	batch := func(job0 string) *api.BatchResult {
+		body := `{"kind":"batch","batch":{"spec":{"jobs":[
+			{"weight":3,"dist":` + job0 + `},
+			{"weight":1,"dist":{"kind":"uniform","lo":0.2,"hi":1.2}},
+			{"weight":2,"dist":{"kind":"exp","rate":2}}
+		],"machines":2},"policy":"wsept"},"seed":1,"replications":400}`
+		w := post(t, h, "/v1/simulate", body)
+		if w.Code != http.StatusOK {
+			t.Fatalf("batch %s: code %d (%s)", job0, w.Code, w.Body)
+		}
+		var resp api.SimulateResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp.Batch
+	}
+	er := batch(fmt.Sprintf(`{"kind":"erlang","k":%d,"rate":%d}`, k, k))
+	det := batch(`{"kind":"det","value":1}`)
+	if d := math.Abs(er.WeightedFlowtimeMean - det.WeightedFlowtimeMean); d > er.WeightedFlowtimeCI95+det.WeightedFlowtimeCI95 {
+		t.Errorf("batch weighted flowtime %v ± %v, deterministic %v ± %v",
+			er.WeightedFlowtimeMean, er.WeightedFlowtimeCI95, det.WeightedFlowtimeMean, det.WeightedFlowtimeCI95)
 	}
 }
 

@@ -79,6 +79,11 @@ func DecodeStrict(body []byte, v any) error {
 // ---------------------------------------------------------------------------
 // Distributions
 
+// MaxErlangK bounds the phase count of an erlang law. An Erlang-k draw
+// costs k uniforms, so the bound keeps every service or job-length draw a
+// bounded computation.
+const MaxErlangK = 1000
+
 // ValidateDist checks the parameters of the selected family.
 func ValidateDist(d *Dist) error {
 	switch d.Kind {
@@ -100,6 +105,9 @@ func ValidateDist(d *Dist) error {
 	case "erlang":
 		if d.K < 1 || !(d.Rate > 0) || !finite(d.Rate) {
 			return fmt.Errorf("spec: erlang law needs k >= 1 and positive rate, got k=%d rate=%v", d.K, d.Rate)
+		}
+		if d.K > MaxErlangK {
+			return fmt.Errorf("spec: erlang k %d above the limit %d", d.K, MaxErlangK)
 		}
 	default:
 		return fmt.Errorf("spec: unknown distribution kind %q (want exp, det, uniform, or erlang)", d.Kind)
